@@ -1,7 +1,7 @@
 """Command-line entry point: list, run, check, and oracle-check scenarios.
 
 Exit codes: 0 success, 1 golden mismatch or oracle divergence, 2 unknown
-scenario, 3 non-quiescent run.
+scenario or usage error, 3 non-quiescent run.
 """
 
 from __future__ import annotations
@@ -71,6 +71,16 @@ def _cmd_oracle(name: str) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {n}")
+    return n
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="dataspace",
@@ -80,7 +90,7 @@ def main(argv=None) -> int:
     sub.add_parser("list", help="print known scenario names")
     p_run = sub.add_parser("run", help="run a scenario and emit its trace")
     p_run.add_argument("scenario")
-    p_run.add_argument("--max-steps", type=int, default=None)
+    p_run.add_argument("--max-steps", type=_positive_int, default=None)
     p_run.add_argument("--out", default=None, help="write trace to a file")
     p_check = sub.add_parser("check", help="run and diff against the golden trace")
     p_check.add_argument("scenario")

@@ -150,21 +150,22 @@ class Network:
 
         If the state object defines ``on_spawn(actor_id, network)`` it is
         invoked after registration and may return extra startup actions;
-        this lets stateful runtimes learn their own identity.
+        this lets stateful runtimes learn their own identity.  Bad startup
+        actions or a failing hook crash the new actor, not the caller.
         """
         aid = (*self.path, self._next_index)
         self._next_index += 1
         self.actors[aid] = _ActorEntry(behaviour=behaviour, state=state)
         self.trace.emit(self._label(aid), "spawn", None)
-        actions = list(startup_actions)
-        hook = getattr(state, "on_spawn", None)
-        if callable(hook):
-            try:
+
+        def startup():
+            actions = list(startup_actions)
+            hook = getattr(state, "on_spawn", None)
+            if callable(hook):
                 actions.extend(hook(aid, self))
-            except Exception as exc:
-                self.terminate_actor(aid, ("crash", _crash_detail(exc)))
-                return aid
-        self._interpret_all(aid, actions)
+            return Continue(state, actions)
+
+        self._run_actor(aid, startup)
         return aid
 
     def spawn_nested(self) -> "Network":
@@ -211,16 +212,24 @@ class Network:
 
     # -- action interpretation ----------------------------------------------
 
-    def _interpret_all(self, aid: tuple[int, ...], actions) -> None:
-        # Failures while interpreting an actor's actions crash that actor.
-        for act in actions:
-            if aid not in self.actors:
-                break  # quit or crashed part-way through its action list
-            try:
+    def _run_actor(self, aid: tuple[int, ...], step: Callable[[], Any]) -> None:
+        # The one crash boundary: step runs the actor's code, and everything
+        # that goes wrong from there to the end of its action list (a raise,
+        # a step result that is not Continue/None, a bad action, a
+        # non-value) terminates the actor alone with a crash entry.
+        try:
+            result = step()
+            if result is None:
+                return
+            if not isinstance(result, Continue):
+                raise TypeError(f"step result is not Continue or None: {result!r}")
+            self.actors[aid].state = result.state
+            for act in result.actions:
+                if aid not in self.actors:
+                    break  # quit or crashed part-way through its action list
                 self.interpret_action(aid, act)
-            except Exception as exc:
-                self.terminate_actor(aid, ("crash", _crash_detail(exc)))
-                break
+        except Exception as exc:
+            self.terminate_actor(aid, ("crash", _crash_detail(exc)))
 
     def interpret_action(self, aid: tuple[int, ...], action) -> None:
         """Perform one action on behalf of a registered actor."""
@@ -244,6 +253,8 @@ class Network:
         clamped = clamp_patch(patch, entry.asserted)
         if clamped.is_empty():
             return
+        # encoding rejects non-values before anything changes
+        encoded = patch_jsonable(clamped)
         entry.asserted = apply_patch(entry.asserted, clamped)
         for a in clamped.added:
             self.aggregate[a] += 1
@@ -253,7 +264,7 @@ class Network:
                 self.aggregate[a] = n
             else:
                 del self.aggregate[a]
-        self.trace.emit(self._label(aid), "patch-out", patch_jsonable(clamped))
+        self.trace.emit(self._label(aid), "patch-out", encoded)
         self._refresh_visibility()
 
     def _refresh_visibility(self) -> None:
@@ -266,8 +277,7 @@ class Network:
 
     def _send_message(self, sender, body) -> None:
         if not is_ground(body):
-            self.terminate_actor(sender, ("crash", f"non-ground message: {body!r}"))
-            return
+            raise ValueError(f"non-ground message: {body!r}")
         self.trace.emit(self._label(sender), "message", to_jsonable(body))
         for bid, entry in self.actors.items():
             if any(matches(p, body) for p in interests_of(entry.asserted)):
@@ -308,30 +318,31 @@ class Network:
                 return True
             if isinstance(event, PatchEvent):
                 self.trace.emit(self._label(aid), "patch-in", patch_jsonable(event.patch))
-            try:
-                result = entry.behaviour(event, entry.state)
-            except Exception as exc:
-                self.terminate_actor(aid, ("crash", _crash_detail(exc)))
-                return True
-            if result is None:
-                return True
-            entry.state = result.state
-            self._interpret_all(aid, result.actions)
+            self._run_actor(aid, lambda: entry.behaviour(event, entry.state))
             return True
         return False
 
-    def run_until_quiescent(self, max_steps: int) -> int:
-        """Dispatch until the queue drains; NonQuiescent past max_steps."""
+    def run_until_quiescent(self, max_steps: int, *, pick=None, after_step=None) -> int:
+        """Dispatch until the queue drains; NonQuiescent past max_steps.
+
+        This is the only loop around :meth:`dispatch_one`.  pick, given the
+        queue length, chooses which queued event to dispatch next (default:
+        the oldest); tests use it to explore alternative interleavings.
+        after_step, if given, runs after every dispatch; passing
+        :meth:`check_visibility` recounts visibility from scratch each step.
+        Returns the number of dispatches made.
+        """
         if max_steps <= 0:
             raise ValueError("max_steps must be positive")
-        steps = 0
-        while steps < max_steps:
-            if not self.dispatch_one():
+        for steps in range(max_steps):
+            index = pick(len(self.queue)) if pick is not None and self.queue else 0
+            if not self.dispatch_one(index):
                 return steps
-            steps += 1
+            if after_step is not None:
+                after_step()
         if self.queue:
             raise NonQuiescent(max_steps)
-        return steps
+        return max_steps
 
     # -- brute-force oracle ----------------------------------------------------
 

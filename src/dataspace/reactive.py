@@ -118,16 +118,9 @@ class When:
 
 
 @dataclass(frozen=True)
-class _CompiledOn:
-    kind: str  # message | asserted | retracted
-    subscription: Any
-    extraction: Any
-    names: tuple
-    body: Optional[Callable]
+class _Clause:
+    """A compiled facet (``On``) or termination clause (``When``)."""
 
-
-@dataclass(frozen=True)
-class _CompiledWhen:
     kind: str  # message | asserted | retracted | rising-edge
     subscription: Any = None
     extraction: Any = None
@@ -173,14 +166,22 @@ def _check_arity(fn: Callable, expected: int, what: str) -> None:
         )
 
 
-def _compile_pattern_event(spec, check_reserved: bool):
+def _compile_clause(spec, body, n: int, what: str, check_reserved: bool) -> _Clause:
+    # n collected values; a body also receives the context and the bindings
+    if isinstance(spec, RisingEdge):
+        _check_arity(spec.predicate, n, "rising-edge predicate")
+        if body is not None:
+            _check_arity(body, 1 + n, what)
+        return _Clause("rising-edge", predicate=spec.predicate, body=body)
     kind = {Message: "message", Asserted: "asserted", Retracted: "retracted"}[
         type(spec)
     ]
     if check_reserved and _contains_reserved(spec.pattern):
         raise ValueError(f"pattern uses the reserved label {RESERVED_LABEL!r}")
     subscription, extraction, names = compile_surface(spec.pattern)
-    return kind, subscription, extraction, names
+    if body is not None:
+        _check_arity(body, 1 + n + len(names), what.format(kind=kind))
+    return _Clause(kind, subscription, extraction, names, body=body)
 
 
 def _make_spec(collect, facets, stop, *, check_reserved=True) -> StateSpec:
@@ -195,34 +196,15 @@ def _make_spec(collect, facets, stop, *, check_reserved=True) -> StateSpec:
         elif isinstance(f, On):
             if isinstance(f.spec, RisingEdge):
                 raise TypeError("rising-edge events only trigger termination clauses")
-            kind, sub, ext, names = _compile_pattern_event(f.spec, check_reserved)
-            _check_arity(f.body, 1 + n + len(names), f"on({kind}) body")
-            ons.append(_CompiledOn(kind, sub, ext, names, f.body))
+            what = "on({kind}) body"
+            ons.append(_compile_clause(f.spec, f.body, n, what, check_reserved))
         else:
             raise TypeError(f"not a facet: {f!r}")
-    whens = []
-    for w in stop:
-        if isinstance(w.spec, RisingEdge):
-            _check_arity(w.spec.predicate, n, "rising-edge predicate")
-            if w.body is not None:
-                _check_arity(w.body, 1 + n, "termination body")
-            whens.append(
-                _CompiledWhen(kind="rising-edge", predicate=w.spec.predicate, body=w.body)
-            )
-        else:
-            kind, sub, ext, names = _compile_pattern_event(w.spec, check_reserved)
-            if w.body is not None:
-                _check_arity(w.body, 1 + n + len(names), "termination body")
-            whens.append(
-                _CompiledWhen(
-                    kind=kind,
-                    subscription=sub,
-                    extraction=ext,
-                    names=names,
-                    body=w.body,
-                )
-            )
-    return StateSpec(collect, tuple(asserts), tuple(ons), tuple(whens))
+    whens = tuple(
+        _compile_clause(w.spec, w.body, n, "termination body", check_reserved)
+        for w in stop
+    )
+    return StateSpec(collect, tuple(asserts), tuple(ons), whens)
 
 
 def state(*, collect=(), facets=(), stop=()) -> StateSpec:
@@ -470,23 +452,10 @@ class ReactiveState:
     def _group_handle(self, group: _Group, event) -> bool:
         matched = False
         # 1. facet bodies fold the collected tuple
-        if isinstance(event, MessageEvent):
-            for c in group.spec.ons:
-                if c.kind == "message" and matches(c.subscription, event.body):
-                    self._run_body(group, c, event.body)
-                    matched = True
-        elif isinstance(event, PatchEvent):
-            for c in group.spec.ons:
-                if c.kind == "asserted":
-                    pool = event.patch.added
-                elif c.kind == "retracted":
-                    pool = event.patch.removed
-                else:
-                    continue
-                hits = [a for a in pool if intersect(c.subscription, a) is not None]
-                for a in sort_patterns(hits):
-                    self._run_body(group, c, a)
-                    matched = True
+        for c in group.spec.ons:
+            for value in _triggers(c, event):
+                self._run_body(group, c, value)
+                matched = True
         # 2. assert facets re-evaluate against the new collected tuple
         if group.gid in self._groups:
             self._refresh_asserts(group)
@@ -496,7 +465,7 @@ class ReactiveState:
             matched = matched or fired
         return matched
 
-    def _run_body(self, group: _Group, c: _CompiledOn, value) -> None:
+    def _run_body(self, group: _Group, c: _Clause, value) -> None:
         bindings = self._extract(c, value)
         result = c.body(self.ctx, *group.collected, *bindings)
         group.collected = self._fold(group, result)
@@ -550,24 +519,29 @@ class ReactiveState:
                 if fire:
                     self._fire(group, w, ())
                     return True
-            elif w.kind == "message":
-                if isinstance(event, MessageEvent) and matches(w.subscription, event.body):
-                    self._fire(group, w, self._extract(w, event.body))
-                    return True
             else:
-                if not isinstance(event, PatchEvent):
-                    continue
-                pool = event.patch.added if w.kind == "asserted" else event.patch.removed
-                hits = [a for a in pool if intersect(w.subscription, a) is not None]
+                hits = _triggers(w, event)
                 if hits:
-                    self._fire(group, w, self._extract(w, sort_patterns(hits)[0]))
+                    self._fire(group, w, self._extract(w, hits[0]))
                     return True
         return False
 
-    def _fire(self, group: _Group, w: _CompiledWhen, bindings: tuple) -> None:
+    def _fire(self, group: _Group, w: _Clause, bindings: tuple) -> None:
         raw = w.body(self.ctx, *group.collected, *bindings) if w.body else None
         self.teardown_group(group.gid)
         group.on_complete(raw)
+
+
+def _triggers(c: _Clause, event) -> list:
+    """The values in this event that trigger clause c, in canonical order."""
+    if c.kind == "message":
+        if isinstance(event, MessageEvent) and matches(c.subscription, event.body):
+            return [event.body]
+        return []
+    if c.kind == "rising-edge" or not isinstance(event, PatchEvent):
+        return []
+    pool = event.patch.added if c.kind == "asserted" else event.patch.removed
+    return sort_patterns([a for a in pool if intersect(c.subscription, a) is not None])
 
 
 def _pack_values(raw) -> Record:
@@ -589,11 +563,6 @@ def _reactive_step(event, state: ReactiveState):
     if not actions and not state._matched:
         return None
     return Continue(state, actions)
-
-
-def synthesize_behaviour():
-    """The behaviour function shared by every reactive actor."""
-    return _reactive_step
 
 
 def reactive_actor(net, script) -> tuple[int, ...]:

@@ -17,7 +17,6 @@ from .network import (
     MessageAction,
     MessageEvent,
     Network,
-    NonQuiescent,
     OutputAction,
     PatchAction,
     PatchEvent,
@@ -416,24 +415,13 @@ def run_scenario(
     alternative interleavings; default is FIFO).
     """
     scenario = SCENARIOS[name]
-    limit = max_steps if max_steps is not None else scenario.max_steps
     net = new_network()
     scenario.build(net)
-    if oracle or picker is not None:
-        steps = 0
-        while True:
-            if steps >= limit:
-                if net.queue:
-                    raise NonQuiescent(limit)
-                break
-            index = picker(len(net.queue)) if (picker and net.queue) else 0
-            if not net.dispatch_one(index):
-                break
-            if oracle:
-                net.check_visibility()
-            steps += 1
-    else:
-        net.run_until_quiescent(limit)
+    net.run_until_quiescent(
+        max_steps if max_steps is not None else scenario.max_steps,
+        pick=picker,
+        after_step=net.check_visibility if oracle else None,
+    )
     return net, net.trace.lines()
 
 

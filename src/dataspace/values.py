@@ -342,7 +342,10 @@ def canonical_key(p):
         return (4, p.name)
     if isinstance(p, Capture):
         return (5, canonical_key(p.sub))
-    return (6, p.label.name, len(p.fields), tuple(canonical_key(f) for f in p.fields))
+    if isinstance(p, Record):
+        fields = tuple(canonical_key(f) for f in p.fields)
+        return (6, p.label.name, len(p.fields), fields)
+    raise TypeError(f"not a pattern: {p!r}")
 
 
 def sort_patterns(patterns: Iterable) -> list:

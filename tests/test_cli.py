@@ -44,6 +44,14 @@ def test_run_exhausted_budget_exits_3(capsys):
     assert "not quiescent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("steps", ["0", "-3", "many"])
+def test_run_rejects_non_positive_budget_as_usage_error(steps, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["run", "counter", "--max-steps", steps])
+    assert err.value.code == 2
+    assert "--max-steps" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ALL)
 def test_check_matches_committed_goldens(name, capsys):
     assert main(["check", name]) == 0

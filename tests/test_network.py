@@ -1,16 +1,20 @@
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from dataspace import (
     Continue,
     MessageAction,
     MessageEvent,
     NonQuiescent,
+    OutputAction,
     Patch,
     PatchAction,
     PatchEvent,
     QUIT,
+    SpawnAction,
     Sym,
     WILDCARD,
     interests_of,
@@ -280,6 +284,58 @@ def test_quit_mid_action_list_discards_remainder():
     assert not any(e["kind"] == "message" for e in net.trace.entries)
 
 
+def assert_crashed_cleanly(net, aid, detail):
+    assert aid not in net.actors
+    crashes = [
+        e["data"]
+        for e in net.trace.entries
+        if e["actor"] == net._label(aid) and e["kind"] == "crash"
+    ]
+    assert crashes == [detail]
+    net.check_visibility()
+
+
+@pytest.mark.parametrize(
+    "result, detail",
+    [
+        (42, "TypeError: step result is not Continue or None: 42"),
+        (Continue(None, None), "TypeError: 'NoneType' object is not iterable"),
+    ],
+    ids=["int", "none-actions"],
+)
+def test_bad_step_result_crashes_actor(result, detail):
+    net = new_network()
+    ok = rec("ok", "b")
+    seen = []
+
+    def monitor(event, state):
+        seen.append(event)
+        return None
+
+    net.spawn(monitor, None, [PatchAction(Patch({observe(ok)}, ()))])
+    bad = net.spawn(lambda event, state: result, None, [PatchAction(Patch({ok}, ()))])
+    net.queue.append((bad, MessageEvent(Sym("poke"))))
+    net.run_until_quiescent(10)
+    assert_crashed_cleanly(net, bad, detail)
+    assert seen == [PatchEvent(Patch({ok}, ())), PatchEvent(Patch((), {ok}))]
+
+
+@pytest.mark.parametrize(
+    "bad, detail",
+    [
+        (1.5, "TypeError: not a pattern: 1.5"),
+        ("'x", "ValueError: string \"'x\" collides with the canonical grammar"),
+    ],
+    ids=["float", "quoted-string"],
+)
+def test_non_value_startup_assertion_crashes_new_actor(bad, detail):
+    net = new_network()
+    aid = net.spawn(idle, None, [PatchAction(Patch({bad, rec("ok", 1)}, ()))])
+    assert_crashed_cleanly(net, aid, detail)
+    assert not net.aggregate
+    assert [e["kind"] for e in net.trace.entries] == ["spawn", "crash"]
+
+
 def test_ping_pong_reports_non_quiescent():
     net = new_network()
 
@@ -392,12 +448,7 @@ def test_visibility_oracle_under_randomized_dispatch():
     for _ in range(25):
         net = new_network()
         build_bank_account_plain(net)
-        steps = 0
-        while steps < 300:
-            if not net.dispatch_one(rng.randrange(len(net.queue)) if net.queue else 0):
-                break
-            net.check_visibility()
-            steps += 1
+        net.run_until_quiescent(300, pick=rng.randrange, after_step=net.check_visibility)
         assert account(70) in net.aggregate
 
 
@@ -409,3 +460,122 @@ def test_aggregate_matches_per_actor_sets_at_quiescence():
     for entry in net.actors.values():
         assert entry.last_visible == visible(support, interests_of(entry.asserted))
     net.check_visibility()
+
+
+# -- misbehaving actors ---------------------------------------------------------------
+
+POKE = observe(rec("poke", WILDCARD))
+FACT = observe(rec("fact", WILDCARD))
+
+
+class FailingHook:
+    def on_spawn(self, aid, net):
+        raise RuntimeError("hook")
+
+
+class NonIterableHook:
+    def on_spawn(self, aid, net):
+        return 5
+
+
+@pytest.mark.parametrize(
+    "state, startup, detail",
+    [
+        (FailingHook(), (), "RuntimeError: hook"),
+        (NonIterableHook(), (), "TypeError: 'int' object is not iterable"),
+        (None, 5, "TypeError: 'int' object is not iterable"),
+    ],
+    ids=["failing-hook", "non-iterable-hook", "non-iterable-startup"],
+)
+def test_bad_child_spawn_crashes_the_child_alone(state, startup, detail):
+    net = new_network()
+    parent = net.spawn(idle, None, [SpawnAction(idle, state, startup), OutputAction(1)])
+    assert parent in net.actors
+    assert_crashed_cleanly(net, (1,), detail)
+    assert [e["kind"] for e in net.trace.entries] == [
+        "spawn",
+        "spawn",
+        "crash",
+        "event-message",
+    ]
+
+
+def misbehaving(event, moves):
+    """Plays the next of its moves on every event; idle once they run out."""
+    if not moves:
+        return None
+    move, rest = moves[0], moves[1:]
+    fact = PatchAction(Patch({rec("fact", len(rest))}, ()))
+    poke = MessageAction(rec("poke", len(rest)))
+    if move == "raise":
+        raise RuntimeError("boom")
+    if move == "bad-result":
+        return 42
+    if move == "bad-actions":
+        return Continue(rest, None)
+    if move == "unknown-action":
+        return Continue(rest, [fact, "not an action"])
+    if move == "assert-float":
+        return Continue(rest, [fact, PatchAction(Patch({rec("fact", 1.5)}, ()))])
+    if move == "assert-quoted":
+        return Continue(rest, [PatchAction(Patch({"'x"}, ()))])
+    if move == "send-non-value":
+        return Continue(rest, [MessageAction(rec("poke", 1.5))])
+    if move == "send-non-ground":
+        return Continue(rest, [poke, MessageAction(rec("poke", WILDCARD))])
+    if move == "display-non-value":
+        return Continue(rest, [OutputAction(1.5)])
+    if move == "quit-midway":
+        return Continue(rest, [fact, QUIT, poke])
+    if move == "spawn-failing-hook":
+        return Continue(rest, [SpawnAction(misbehaving, FailingHook()), poke])
+    if move == "spawn-non-iterable-hook":
+        return Continue(rest, [SpawnAction(misbehaving, NonIterableHook()), poke])
+    if move == "spawn-non-iterable-startup":
+        return Continue(rest, [SpawnAction(misbehaving, (), 5), poke])
+    if move == "spawn":
+        child = SpawnAction(misbehaving, rest, (PatchAction(Patch({POKE}, ())),))
+        return Continue(rest, [child])
+    return Continue(rest, [fact, poke])  # "good"
+
+
+MOVES = st.sampled_from(
+    [
+        "good",
+        "raise",
+        "bad-result",
+        "bad-actions",
+        "unknown-action",
+        "assert-float",
+        "assert-quoted",
+        "send-non-value",
+        "send-non-ground",
+        "display-non-value",
+        "quit-midway",
+        "spawn",
+        "spawn-failing-hook",
+        "spawn-non-iterable-hook",
+        "spawn-non-iterable-startup",
+    ]
+)
+
+
+@given(
+    st.lists(st.lists(MOVES, max_size=5).map(tuple), min_size=1, max_size=5),
+    st.randoms(use_true_random=False),
+)
+def test_misbehaving_actors_crash_alone(scripts, rng):
+    net = new_network()
+    for moves in scripts:
+        net.spawn(misbehaving, moves, [PatchAction(Patch({POKE, FACT}, ()))])
+    kicker = net.spawn(idle, None)
+    net.interpret_action(kicker, MessageAction(rec("poke", "go")))
+    net.run_until_quiescent(5000, pick=rng.randrange, after_step=net.check_visibility)
+    net.check_visibility()
+    ends: dict = {}
+    for e in net.trace.entries:
+        if e["kind"] in ("spawn", "quit", "crash"):
+            ends.setdefault(e["actor"], []).append(e["kind"])
+    live = {net._label(aid) for aid in net.actors}
+    for label, kinds in ends.items():
+        assert kinds[0] == "spawn" and len(kinds) == (1 if label in live else 2), label
