@@ -24,6 +24,7 @@ from .network import (
 )
 from .patches import (
     EMPTY_PATCH,
+    Bag,
     Patch,
     apply_patch,
     clamp_patch,

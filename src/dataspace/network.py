@@ -13,9 +13,9 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from .patches import Patch, apply_patch, clamp_patch, delta, interests_of, visible
+from .patches import Bag, Patch, apply_patch, clamp_patch, delta, interests_of, visible
 from .tracing import TraceLog, patch_jsonable
-from .values import is_ground, matches, to_jsonable
+from .values import is_ground, is_pattern, matches, to_jsonable
 
 __all__ = [
     "Continue",
@@ -124,7 +124,7 @@ class Network:
     def __init__(self, *, _path=(), _trace=None, _parent=None):
         self.path: tuple[int, ...] = _path
         self.actors: dict[tuple[int, ...], _ActorEntry] = {}
-        self.aggregate: Counter = Counter()
+        self.aggregate: Bag = Bag()
         self.queue: deque = deque()
         self.trace: TraceLog = _trace if _trace is not None else TraceLog()
         self._next_index = 0
@@ -253,17 +253,15 @@ class Network:
         clamped = clamp_patch(patch, entry.asserted)
         if clamped.is_empty():
             return
-        # encoding rejects non-values before anything changes
+        # reject non-values before anything changes: is_pattern catches
+        # foreign types and capture holes, the encoding catches strings that
+        # collide with the canonical grammar
+        for a in clamped.added:
+            if not is_pattern(a):
+                raise TypeError(f"not a pattern: {a!r}")
         encoded = patch_jsonable(clamped)
         entry.asserted = apply_patch(entry.asserted, clamped)
-        for a in clamped.added:
-            self.aggregate[a] += 1
-        for a in clamped.removed:
-            n = self.aggregate[a] - 1
-            if n:
-                self.aggregate[a] = n
-            else:
-                del self.aggregate[a]
+        self.aggregate.change(clamped.added, clamped.removed)
         self.trace.emit(self._label(aid), "patch-out", encoded)
         self._refresh_visibility()
 

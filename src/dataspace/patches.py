@@ -1,18 +1,21 @@
 """Assertion sets and the patch algebra.
 
 A patch is a disjoint (added, removed) pair of assertion sets: the sole
-mechanism for changing shared state.  The visibility calculus below is what
-the network uses to compute per-actor deltas.
+mechanism for changing shared state.  A bag counts how many holders claim
+each assertion; only its support is ever seen.  The visibility calculus
+below is what the network uses to compute per-actor deltas.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
 from .values import OBSERVE, Record, intersect
 
 __all__ = [
+    "Bag",
     "EMPTY_PATCH",
     "Patch",
     "apply_patch",
@@ -64,6 +67,40 @@ def clamp_patch(p: Patch, current: frozenset) -> Patch:
     """Drop re-assertions and retractions of the absent, relative to current."""
     current = frozenset(current)
     return Patch(p.added - current, p.removed & current)
+
+
+class Bag(Counter):
+    """A multiset of assertions whose support is what its holders' peers see.
+
+    Several holders may claim the same assertion; only the crossings of its
+    count between 0 and 1 change the support.
+    """
+
+    def change(self, added=(), removed=()) -> Patch:
+        """Claim one copy of each of added, then release one of each of removed.
+
+        Returns the net change in support.  Raises KeyError when a count
+        would go below zero, leaving the changes before it in place.
+        """
+        gained, lost = set(), set()
+        for a in added:
+            n = self.get(a, 0)
+            if not n:
+                gained.add(a)
+            self[a] = n + 1
+        for a in removed:
+            n = self.get(a, 0) - 1
+            if n > 0:
+                self[a] = n
+            elif n == 0:
+                del self[a]
+                if a in gained:
+                    gained.remove(a)  # claimed and released within this call
+                else:
+                    lost.add(a)
+            else:
+                raise KeyError(a)
+        return Patch(gained, lost)
 
 
 def interests_of(s: Iterable) -> frozenset:

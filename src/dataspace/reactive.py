@@ -5,14 +5,14 @@ blocks the script until one of the state's termination clauses fires.  Every
 state runs its facets in a fresh actor: the parent installs an internal
 watcher for a reserved completion assertion, the fresh actor hosts the
 facets, and the termination clause's result values travel back through the
-dataspace.  Facets of one actor share a reference-counted assertion mux so
-overlapping contributions never interfere.
+dataspace.  Facets of one actor claim their assertions in one shared bag
+(:class:`patches.Bag`), the actor's mux: only an assertion's first claim and
+last release reach the network, so overlapping facets never interfere.
 """
 
 from __future__ import annotations
 
 import inspect
-from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -26,7 +26,7 @@ from .network import (
     QUIT,
     SpawnAction,
 )
-from .patches import Patch
+from .patches import Bag, Patch
 from .values import (
     Bind,
     Capture,
@@ -35,7 +35,6 @@ from .values import (
     compile_surface,
     intersect,
     is_ground,
-    is_pattern,
     matches,
     observe,
     project_assertions,
@@ -225,34 +224,6 @@ def forever(*, collect=(), facets=()) -> StateSpec:
 # -- per-actor runtime ---------------------------------------------------------
 
 
-class Mux:
-    """Reference-counted assertion claims shared by all of an actor's facets.
-
-    The actor's outbound assertion set is the support of the bag; only
-    0<->1 transitions produce visible patch actions.
-    """
-
-    def __init__(self) -> None:
-        self._counts: Counter = Counter()
-
-    def claim(self, a) -> bool:
-        self._counts[a] += 1
-        return self._counts[a] == 1
-
-    def release(self, a) -> bool:
-        n = self._counts[a] - 1
-        if n < 0:
-            raise KeyError(f"releasing an unclaimed assertion: {a!r}")
-        if n:
-            self._counts[a] = n
-            return False
-        del self._counts[a]
-        return True
-
-    def support(self) -> frozenset:
-        return frozenset(self._counts)
-
-
 class _Group:
     """One installed state: collected values, facets, and mux contributions."""
 
@@ -266,7 +237,7 @@ class _Group:
             for c in (*spec.ons, *spec.whens)
             if c.kind != "rising-edge"
         )
-        self.assert_current: list = [None] * len(spec.asserts)
+        self.assert_current = [f.template(*self.collected) for f in spec.asserts]
         self.baselines: list = [None] * len(spec.whens)
 
 
@@ -303,11 +274,10 @@ class ReactiveState:
         self._initial = _initial  # (spec, handshake id | None) for state hosts
         self._gen = None
         self._groups: dict[int, _Group] = {}
-        self._mux = Mux()
+        self._mux = Bag()
         self._next_gid = 0
         self._pending: Optional[list] = None
         self._fresh_sid: Optional[Callable] = None
-        self._matched = False
         self.ctx = ActorContext(self)
 
     # -- plumbing -------------------------------------------------------------
@@ -316,6 +286,11 @@ class ReactiveState:
         if self._pending is None:
             raise RuntimeError("actor effect requested outside an actor step")
         self._pending.append(action)
+
+    def _change_mux(self, added=(), removed=()) -> None:
+        patch = self._mux.change(added, removed)
+        if not patch.is_empty():
+            self._buffer(PatchAction(patch))
 
     def collect_actions(self, thunk: Callable[[], None]) -> list:
         """Run thunk with an action buffer installed; return what it emitted."""
@@ -404,17 +379,7 @@ class ReactiveState:
         gid = self._next_gid
         self._next_gid += 1
         group = _Group(gid, spec, on_complete or (lambda raw: None))
-        added = []
-        for a in group.subscriptions:
-            if self._mux.claim(a):
-                added.append(a)
-        for i, f in enumerate(spec.asserts):
-            out = f.template(*group.collected)
-            group.assert_current[i] = out
-            if self._mux.claim(out):
-                added.append(out)
-        if added:
-            self._buffer(PatchAction(Patch(added, ())))
+        self._change_mux((*group.subscriptions, *group.assert_current))
         self._groups[gid] = group
         for i, w in enumerate(spec.whens):
             if w.kind == "rising-edge":
@@ -429,41 +394,27 @@ class ReactiveState:
     def teardown_group(self, gid: int) -> None:
         """Release the group's mux claims, retracting what nobody else holds."""
         group = self._groups.pop(gid)
-        removed = []
-        for a in group.subscriptions:
-            if self._mux.release(a):
-                removed.append(a)
-        for out in group.assert_current:
-            if out is not None and self._mux.release(out):
-                removed.append(out)
-        if removed:
-            self._buffer(PatchAction(Patch((), removed)))
+        self._change_mux((), (*group.subscriptions, *group.assert_current))
 
     # -- event handling ------------------------------------------------------------
 
     def _deliver(self, event) -> None:
-        self._matched = False
         for group in list(self._groups.values()):
             if group.gid not in self._groups:
                 continue  # torn down by an earlier group's resumption
-            if self._group_handle(group, event):
-                self._matched = True
+            self._group_handle(group, event)
 
-    def _group_handle(self, group: _Group, event) -> bool:
-        matched = False
+    def _group_handle(self, group: _Group, event) -> None:
         # 1. facet bodies fold the collected tuple
         for c in group.spec.ons:
             for value in _triggers(c, event):
                 self._run_body(group, c, value)
-                matched = True
         # 2. assert facets re-evaluate against the new collected tuple
         if group.gid in self._groups:
             self._refresh_asserts(group)
         # 3. termination clauses, declaration order, first satisfied fires
         if group.gid in self._groups:
-            fired = self._check_stop(group, event)
-            matched = matched or fired
-        return matched
+            self._check_stop(group, event)
 
     def _run_body(self, group: _Group, c: _Clause, value) -> None:
         bindings = self._extract(c, value)
@@ -489,28 +440,12 @@ class ReactiveState:
         return tuple(result)
 
     def _refresh_asserts(self, group: _Group) -> None:
-        adds: list = []
-        removes: list = []
-        for i, f in enumerate(group.spec.asserts):
-            new = f.template(*group.collected)
-            old = group.assert_current[i]
-            if new == old:
-                continue
-            if self._mux.release(old):
-                if old in adds:
-                    adds.remove(old)
-                else:
-                    removes.append(old)
-            if self._mux.claim(new):
-                if new in removes:
-                    removes.remove(new)
-                else:
-                    adds.append(new)
-            group.assert_current[i] = new
-        if adds or removes:
-            self._buffer(PatchAction(Patch(adds, removes)))
+        new = [f.template(*group.collected) for f in group.spec.asserts]
+        if new != group.assert_current:
+            self._change_mux(new, group.assert_current)
+            group.assert_current = new
 
-    def _check_stop(self, group: _Group, event) -> bool:
+    def _check_stop(self, group: _Group, event) -> None:
         for i, w in enumerate(group.spec.whens):
             if w.kind == "rising-edge":
                 now = bool(w.predicate(*group.collected))
@@ -518,13 +453,12 @@ class ReactiveState:
                 group.baselines[i] = now
                 if fire:
                     self._fire(group, w, ())
-                    return True
+                    return
             else:
                 hits = _triggers(w, event)
                 if hits:
                     self._fire(group, w, self._extract(w, hits[0]))
-                    return True
-        return False
+                    return
 
     def _fire(self, group: _Group, w: _Clause, bindings: tuple) -> None:
         raw = w.body(self.ctx, *group.collected, *bindings) if w.body else None
@@ -553,16 +487,14 @@ def _pack_values(raw) -> Record:
     else:
         vs = (raw,)
     payload = rec(_VALUES_LABEL, *vs)
-    if not (is_pattern(payload) and is_ground(payload)):
+    if not is_ground(payload):
         raise ValueError(f"state result is not a ground value: {raw!r}")
     return payload
 
 
 def _reactive_step(event, state: ReactiveState):
     actions = state.collect_actions(lambda: state._deliver(event))
-    if not actions and not state._matched:
-        return None
-    return Continue(state, actions)
+    return Continue(state, actions) if actions else None
 
 
 def reactive_actor(net, script) -> tuple[int, ...]:

@@ -8,10 +8,9 @@ program serialize byte-identically.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 
-from .patches import Patch
+from .patches import Bag, Patch
 from .values import from_jsonable, intersect, sort_patterns, to_jsonable
 
 __all__ = ["TraceLog", "aggregate_snapshots", "patch_jsonable"]
@@ -50,21 +49,15 @@ def aggregate_snapshots(trace, lens) -> list[frozenset]:
     Replays the patch-out entries of a trace into an assertion bag and
     records the support restricted to lens-matching assertions, collapsing
     consecutive duplicates.  Actor identities are deliberately erased.
+    Raises KeyError when the trace retracts something it never asserted.
     """
-    bag: Counter = Counter()
+    bag = Bag()
     snaps = [frozenset()]
     for entry in _iter_entries(trace):
         if entry["kind"] != "patch-out":
             continue
-        for x in entry["data"]["added"]:
-            bag[from_jsonable(x)] += 1
-        for x in entry["data"]["removed"]:
-            a = from_jsonable(x)
-            n = bag[a] - 1
-            if n:
-                bag[a] = n
-            else:
-                del bag[a]
+        added, removed = entry["data"]["added"], entry["data"]["removed"]
+        bag.change(map(from_jsonable, added), map(from_jsonable, removed))
         cur = frozenset(a for a in bag if intersect(lens, a) is not None)
         if cur != snaps[-1]:
             snaps.append(cur)

@@ -138,12 +138,10 @@ def is_pattern(p) -> bool:
 
 
 def is_ground(p) -> bool:
-    """True when the pattern contains no wildcard, i.e. it is a value."""
-    if p is WILDCARD:
-        return False
+    """True for values: atoms of the supported kinds, and records thereof."""
     if isinstance(p, Record):
         return all(is_ground(f) for f in p.fields)
-    return True
+    return isinstance(p, (Sym, str, int, bool))
 
 
 def intersect(p, q):
@@ -196,14 +194,6 @@ def erase(proj):
     if isinstance(proj, Record):
         return Record(proj.label, tuple(erase(f) for f in proj.fields))
     return proj
-
-
-def capture_count(proj) -> int:
-    if isinstance(proj, Capture):
-        return 1
-    if isinstance(proj, Record):
-        return sum(capture_count(f) for f in proj.fields)
-    return 0
 
 
 def _walk_captures(proj, unified, out: list) -> None:

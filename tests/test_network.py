@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 
 from dataspace import (
+    Capture,
     Continue,
     MessageAction,
     MessageEvent,
@@ -325,8 +326,9 @@ def test_bad_step_result_crashes_actor(result, detail):
     [
         (1.5, "TypeError: not a pattern: 1.5"),
         ("'x", "ValueError: string \"'x\" collides with the canonical grammar"),
+        (rec("y", Capture()), "TypeError: not a pattern: (y (?! _))"),
     ],
-    ids=["float", "quoted-string"],
+    ids=["float", "quoted-string", "capture"],
 )
 def test_non_value_startup_assertion_crashes_new_actor(bad, detail):
     net = new_network()
@@ -519,10 +521,14 @@ def misbehaving(event, moves):
         return Continue(rest, [fact, PatchAction(Patch({rec("fact", 1.5)}, ()))])
     if move == "assert-quoted":
         return Continue(rest, [PatchAction(Patch({"'x"}, ()))])
+    if move == "assert-capture":
+        return Continue(rest, [fact, PatchAction(Patch({rec("fact", Capture())}, ()))])
     if move == "send-non-value":
         return Continue(rest, [MessageAction(rec("poke", 1.5))])
     if move == "send-non-ground":
         return Continue(rest, [poke, MessageAction(rec("poke", WILDCARD))])
+    if move == "send-capture":
+        return Continue(rest, [poke, MessageAction(rec("poke", Capture()))])
     if move == "display-non-value":
         return Continue(rest, [OutputAction(1.5)])
     if move == "quit-midway":
@@ -548,8 +554,10 @@ MOVES = st.sampled_from(
         "unknown-action",
         "assert-float",
         "assert-quoted",
+        "assert-capture",
         "send-non-value",
         "send-non-ground",
+        "send-capture",
         "display-non-value",
         "quit-midway",
         "spawn",
@@ -579,3 +587,5 @@ def test_misbehaving_actors_crash_alone(scripts, rng):
     live = {net._label(aid) for aid in net.actors}
     for label, kinds in ends.items():
         assert kinds[0] == "spawn" and len(kinds) == (1 if label in live else 2), label
+    # a capture hole is not a value: it never reaches the dataspace or the trace
+    assert not any('"?!"' in line for line in net.trace.lines())

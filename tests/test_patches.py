@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import given
 
 from dataspace import (
     EMPTY_PATCH,
+    Bag,
     Patch,
     Sym,
     WILDCARD,
+    aggregate_snapshots,
     apply_patch,
     clamp_patch,
     delta,
@@ -38,6 +41,7 @@ UNIVERSE = (
 )
 
 sets = st.frozensets(st.sampled_from(UNIVERSE), max_size=6)
+claims = st.lists(st.sampled_from(UNIVERSE), max_size=4)
 
 
 @st.composite
@@ -169,3 +173,37 @@ def test_clamp_preserves_effect(s, p):
 def test_visible_monotone(agg, extra, interests):
     assert visible(agg, interests) <= visible(agg | extra, interests)
     assert visible(agg, interests) <= visible(agg, interests | {WILDCARD})
+
+
+@given(st.lists(st.tuples(claims, claims), max_size=8))
+def test_bag_changes_fold_to_its_support(steps):
+    bag, support = Bag(), frozenset()
+    for added, wanted in steps:
+        held = Counter(bag) + Counter(added)
+        removed = []
+        for a in wanted:
+            if held[a]:
+                held[a] -= 1
+                removed.append(a)
+        patch = bag.change(added, removed)
+        assert clamp_patch(patch, support) == patch  # a net change, nothing redundant
+        support = apply_patch(support, patch)
+        assert support == frozenset(bag)
+
+
+def test_bag_release_of_absent_assertion_raises():
+    bag = Bag()
+    assert bag.change([account(0), account(0)]) == Patch({account(0)}, ())
+    assert bag.change((), [account(0)]) == EMPTY_PATCH
+    assert bag.change((), [account(0)]) == Patch((), {account(0)})
+    with pytest.raises(KeyError):
+        bag.change((), [account(0)])
+
+
+def test_replaying_a_retraction_of_the_never_asserted_raises():
+    trace = [
+        '{"seq":0,"actor":"g/0","kind":"patch-out",'
+        '"data":{"added":[],"removed":[["account",5]]}}'
+    ]
+    with pytest.raises(KeyError):
+        aggregate_snapshots(trace, account(WILDCARD))
