@@ -11,7 +11,7 @@ import sys
 from importlib import resources
 
 from .network import NonQuiescent, VisibilityMismatch
-from .scenarios import SCENARIOS, run_scenario
+from .scenarios import MAX_STEPS, SCENARIOS, run_scenario
 
 __all__ = ["main"]
 
@@ -34,8 +34,12 @@ def _cmd_run(name: str, max_steps, out) -> int:
     _, lines = run_scenario(name, max_steps)
     text = "\n".join(lines) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"cannot write --out {out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0
@@ -90,7 +94,7 @@ def main(argv=None) -> int:
     sub.add_parser("list", help="print known scenario names")
     p_run = sub.add_parser("run", help="run a scenario and emit its trace")
     p_run.add_argument("scenario")
-    p_run.add_argument("--max-steps", type=_positive_int, default=None)
+    p_run.add_argument("--max-steps", type=_positive_int, default=MAX_STEPS)
     p_run.add_argument("--out", default=None, help="write trace to a file")
     p_check = sub.add_parser("check", help="run and diff against the golden trace")
     p_check.add_argument("scenario")

@@ -177,10 +177,11 @@ class Network:
         self.trace.emit(self._label(aid), "spawn", None)
         return child
 
-    def terminate_actor(self, aid: tuple[int, ...], reason="quit") -> None:
+    def terminate_actor(self, aid: tuple[int, ...], crash: Optional[str] = None) -> None:
         """Retract everything the actor asserted, notify, and remove it.
 
-        reason is "quit" for clean termination or ("crash", detail).
+        With crash None the actor quits cleanly (a quit trace entry);
+        otherwise crash is the detail of its crash trace entry.
         Pending queued events addressed to the actor are discarded.
         """
         entry = self.actors.get(aid)
@@ -193,11 +194,7 @@ class Network:
         del self.actors[aid]
         if self.queue:
             self.queue = deque((b, e) for (b, e) in self.queue if b != aid)
-        if reason == "quit":
-            self.trace.emit(self._label(aid), "quit", None)
-        else:
-            detail = reason[1] if isinstance(reason, tuple) else str(reason)
-            self.trace.emit(self._label(aid), "crash", detail)
+        self.trace.emit(self._label(aid), "quit" if crash is None else "crash", crash)
 
     def _finalize_subtree(self) -> None:
         # The containing network actor is going away: the private dataspace
@@ -229,7 +226,7 @@ class Network:
                     break  # quit or crashed part-way through its action list
                 self.interpret_action(aid, act)
         except Exception as exc:
-            self.terminate_actor(aid, ("crash", _crash_detail(exc)))
+            self.terminate_actor(aid, _crash_detail(exc))
 
     def interpret_action(self, aid: tuple[int, ...], action) -> None:
         """Perform one action on behalf of a registered actor."""
@@ -244,7 +241,7 @@ class Network:
         elif isinstance(action, SpawnAction):
             self.spawn(action.behaviour, action.state, action.actions)
         elif isinstance(action, QuitAction):
-            self.terminate_actor(aid, "quit")
+            self.terminate_actor(aid)
         else:
             raise TypeError(f"unknown action: {action!r}")
 

@@ -29,7 +29,6 @@ from .network import (
 from .patches import Bag, Patch
 from .values import (
     Bind,
-    Capture,
     Record,
     Sym,
     compile_surface,
@@ -139,13 +138,9 @@ class StateSpec:
 
 
 def _contains_reserved(p) -> bool:
-    if isinstance(p, Record):
-        return p.label == RESERVED_LABEL or any(
-            _contains_reserved(f) for f in p.fields
-        )
-    if isinstance(p, (Capture, Bind)):
-        return isinstance(p, Capture) and _contains_reserved(p.sub)
-    return False
+    return isinstance(p, Record) and (
+        p.label == RESERVED_LABEL or any(_contains_reserved(f) for f in p.fields)
+    )
 
 
 def _check_arity(fn: Callable, expected: int, what: str) -> None:
@@ -165,7 +160,7 @@ def _check_arity(fn: Callable, expected: int, what: str) -> None:
         )
 
 
-def _compile_clause(spec, body, n: int, what: str, check_reserved: bool) -> _Clause:
+def _compile_clause(spec, body, n: int, what: str) -> _Clause:
     # n collected values; a body also receives the context and the bindings
     if isinstance(spec, RisingEdge):
         _check_arity(spec.predicate, n, "rising-edge predicate")
@@ -175,15 +170,15 @@ def _compile_clause(spec, body, n: int, what: str, check_reserved: bool) -> _Cla
     kind = {Message: "message", Asserted: "asserted", Retracted: "retracted"}[
         type(spec)
     ]
-    if check_reserved and _contains_reserved(spec.pattern):
-        raise ValueError(f"pattern uses the reserved label {RESERVED_LABEL!r}")
     subscription, extraction, names = compile_surface(spec.pattern)
+    if _contains_reserved(subscription):
+        raise ValueError(f"pattern uses the reserved label {RESERVED_LABEL!r}")
     if body is not None:
         _check_arity(body, 1 + n + len(names), what.format(kind=kind))
     return _Clause(kind, subscription, extraction, names, body=body)
 
 
-def _make_spec(collect, facets, stop, *, check_reserved=True) -> StateSpec:
+def _make_spec(collect, facets, stop) -> StateSpec:
     collect = tuple((str(name), init) for name, init in collect)
     n = len(collect)
     asserts = []
@@ -196,13 +191,10 @@ def _make_spec(collect, facets, stop, *, check_reserved=True) -> StateSpec:
             if isinstance(f.spec, RisingEdge):
                 raise TypeError("rising-edge events only trigger termination clauses")
             what = "on({kind}) body"
-            ons.append(_compile_clause(f.spec, f.body, n, what, check_reserved))
+            ons.append(_compile_clause(f.spec, f.body, n, what))
         else:
             raise TypeError(f"not a facet: {f!r}")
-    whens = tuple(
-        _compile_clause(w.spec, w.body, n, "termination body", check_reserved)
-        for w in stop
-    )
+    whens = tuple(_compile_clause(w.spec, w.body, n, "termination body") for w in stop)
     return StateSpec(collect, tuple(asserts), tuple(ons), whens)
 
 
@@ -238,7 +230,7 @@ class _Group:
             if c.kind != "rising-edge"
         )
         self.assert_current = [f.template(*self.collected) for f in spec.asserts]
-        self.baselines: list = [None] * len(spec.whens)
+        self.baselines = [False] * len(spec.whens)
 
 
 class ActorContext:
@@ -308,11 +300,7 @@ class ReactiveState:
 
     def _start(self) -> None:
         if self._initial is not None:
-            spec, sid = self._initial
-            if sid is None:
-                self.install_group(spec, self._complete_detached)
-            else:
-                self.install_group(spec, lambda raw: self._complete_handshake(sid, raw))
+            self.install_group(self._initial[0], self._complete)
             return
         if self._script_fn is not None:
             out = self._script_fn(self.ctx)
@@ -341,14 +329,9 @@ class ReactiveState:
 
     def _enter_state(self, spec: StateSpec) -> None:
         sid = self._fresh_sid()
-        watcher_pattern = rec(RESERVED_LABEL, sid, Bind("payload"))
-        watcher = _make_spec(
-            (),
-            (),
-            (When(Asserted(watcher_pattern), lambda ctx, payload: payload),),
-            check_reserved=False,
-        )
-        self.install_group(watcher, self._resume_script)
+        compiled = compile_surface(rec(RESERVED_LABEL, sid, Bind("payload")))
+        watcher = _Clause("asserted", *compiled, body=lambda ctx, payload: payload)
+        self.install_group(StateSpec((), (), (), (watcher,)), self._resume_script)
         self._buffer(
             SpawnAction(_reactive_step, ReactiveState(None, _initial=(spec, sid)), ())
         )
@@ -362,33 +345,24 @@ class ReactiveState:
         else:
             self._advance(tuple(values))
 
-    # -- completion hooks for state-hosting child actors -------------------------
-
-    def _complete_handshake(self, sid: int, raw) -> None:
-        vs = _pack_values(raw)
-        self._buffer(PatchAction(Patch({rec(RESERVED_LABEL, sid, vs)}, ())))
-        self._buffer(QUIT)
-
-    def _complete_detached(self, raw) -> None:
+    def _complete(self, raw) -> None:
+        """Quit a state host, first asserting the result if a script waits on it."""
+        sid = self._initial[1]
+        if sid is not None:
+            result = rec(RESERVED_LABEL, sid, _pack_values(raw))
+            self._buffer(PatchAction(Patch({result}, ())))
         self._buffer(QUIT)
 
     # -- group lifecycle ----------------------------------------------------------
 
     def install_group(self, spec: StateSpec, on_complete: Optional[Callable] = None) -> int:
-        """Install a state group: claim its assertions, seed edge baselines."""
+        """Install a state group; a rising edge already true at install fires."""
         gid = self._next_gid
         self._next_gid += 1
         group = _Group(gid, spec, on_complete or (lambda raw: None))
         self._change_mux((*group.subscriptions, *group.assert_current))
         self._groups[gid] = group
-        for i, w in enumerate(spec.whens):
-            if w.kind == "rising-edge":
-                group.baselines[i] = bool(w.predicate(*group.collected))
-        # a predicate already true at install fires without waiting for an event
-        for i, w in enumerate(spec.whens):
-            if w.kind == "rising-edge" and group.baselines[i]:
-                self._fire(group, w, ())
-                break
+        self._check_stop(group, None)
         return gid
 
     def teardown_group(self, gid: int) -> None:
@@ -400,8 +374,6 @@ class ReactiveState:
 
     def _deliver(self, event) -> None:
         for group in list(self._groups.values()):
-            if group.gid not in self._groups:
-                continue  # torn down by an earlier group's resumption
             self._group_handle(group, event)
 
     def _group_handle(self, group: _Group, event) -> None:
@@ -410,11 +382,9 @@ class ReactiveState:
             for value in _triggers(c, event):
                 self._run_body(group, c, value)
         # 2. assert facets re-evaluate against the new collected tuple
-        if group.gid in self._groups:
-            self._refresh_asserts(group)
+        self._refresh_asserts(group)
         # 3. termination clauses, declaration order, first satisfied fires
-        if group.gid in self._groups:
-            self._check_stop(group, event)
+        self._check_stop(group, event)
 
     def _run_body(self, group: _Group, c: _Clause, value) -> None:
         bindings = self._extract(c, value)

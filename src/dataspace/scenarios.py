@@ -56,13 +56,13 @@ __all__ = ["SCENARIOS", "Scenario", "run_scenario", "traces_equivalent"]
 
 NOVEL = "novel.txt"
 NOVEL_TEXT = "It was a dark and stormy night"
+MAX_STEPS = 500  # dispatch budget of a scenario run
 
 
 @dataclass(frozen=True)
 class Scenario:
     name: str
     build: Callable[[Network], None]
-    max_steps: int = 500
 
     @property
     def golden(self) -> str:
@@ -402,7 +402,7 @@ SCENARIOS: dict[str, Scenario] = {
 
 def run_scenario(
     name: str,
-    max_steps: Optional[int] = None,
+    max_steps: int = MAX_STEPS,
     *,
     oracle: bool = False,
     picker: Optional[Callable[[int], int]] = None,
@@ -418,7 +418,7 @@ def run_scenario(
     net = new_network()
     scenario.build(net)
     net.run_until_quiescent(
-        max_steps if max_steps is not None else scenario.max_steps,
+        max_steps,
         pick=picker,
         after_step=net.check_visibility if oracle else None,
     )

@@ -227,36 +227,26 @@ def project_assertions(assertions: Iterable, proj) -> set:
 def compile_surface(sp):
     """Split a surface pattern into (subscription, extraction, binder names).
 
-    Binders become wildcards in the subscription and capture holes in the
-    extraction; names are reported in left-to-right order.
+    Binders become capture holes in the extraction, and the subscription is
+    the extraction erased; names are reported in left-to-right order.  Any
+    other leaf failing ``is_pattern`` (a capture hole, 1.5) is a TypeError.
     """
     names: list[str] = []
 
-    def scan(p) -> None:
+    def walk(p):
         if isinstance(p, Bind):
             if p.name in names:
                 raise DuplicateBinder(p.name)
             names.append(p.name)
-        elif isinstance(p, Record):
-            for f in p.fields:
-                scan(f)
-
-    def to_subscription(p):
-        if isinstance(p, Bind):
-            return WILDCARD
-        if isinstance(p, Record):
-            return Record(p.label, tuple(to_subscription(f) for f in p.fields))
-        return p
-
-    def to_extraction(p):
-        if isinstance(p, Bind):
             return Capture(WILDCARD)
         if isinstance(p, Record):
-            return Record(p.label, tuple(to_extraction(f) for f in p.fields))
+            return Record(p.label, tuple(walk(f) for f in p.fields))
+        if not is_pattern(p):  # else erasure turns a written capture into a wildcard
+            raise TypeError(f"not a pattern: {p!r}")
         return p
 
-    scan(sp)
-    return to_subscription(sp), to_extraction(sp), tuple(names)
+    extraction = walk(sp)
+    return erase(extraction), extraction, tuple(names)
 
 
 def to_jsonable(p):

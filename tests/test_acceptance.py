@@ -119,7 +119,7 @@ def test_criterion_4_retraction_on_failure():
         before = {
             aid: e.last_visible for aid, e in net.actors.items() if aid != victim
         }
-        net.terminate_actor(victim, ("crash", "induced failure"))
+        net.terminate_actor(victim, crash="induced failure")
         pending = {}
         for aid, ev in net.queue:
             pending.setdefault(aid, []).append(ev)

@@ -39,6 +39,15 @@ def test_run_writes_file(tmp_path, capsys):
     assert text == again.read_text(encoding="utf-8")
 
 
+def test_run_out_in_missing_directory_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "trace.jsonl"
+    assert main(["run", "counter", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert str(target) in captured.err
+
+
 def test_run_exhausted_budget_exits_3(capsys):
     assert main(["run", "bank-account-plain", "--max-steps", "1"]) == 3
     assert "not quiescent" in capsys.readouterr().err

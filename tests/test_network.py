@@ -188,7 +188,7 @@ def test_crash_notifies_interested_peers():
 
     net.spawn(monitor, None, [PatchAction(Patch({observe(ok)}, ()))])
     net.run_until_quiescent(10)
-    net.terminate_actor(manager, ("crash", "induced"))
+    net.terminate_actor(manager, crash="induced")
     net.run_until_quiescent(10)
     assert PatchEvent(Patch((), {ok})) in events
     assert [e["kind"] for e in net.trace.entries if e["actor"] == "g/0"] == [
@@ -204,7 +204,7 @@ def test_clean_termination_retracts_assertions():
     upd = net.spawn(
         idle, None, [PatchAction(Patch({observe(observe(deposit(WILDCARD)))}, ()))]
     )
-    net.terminate_actor(upd, "quit")
+    net.terminate_actor(upd)
     assert not net.aggregate
     assert upd not in net.actors
 
@@ -214,7 +214,7 @@ def test_terminating_assertionless_actor_notifies_nobody():
     net.spawn(idle, None, [PatchAction(Patch({observe(WILDCARD)}, ()))])
     net.run_until_quiescent(10)
     quiet = net.spawn(idle, None)
-    net.terminate_actor(quiet, "quit")
+    net.terminate_actor(quiet)
     assert not net.queue
 
 
@@ -230,7 +230,7 @@ def test_queued_events_for_terminated_actor_are_dropped():
     sender = net.spawn(idle, None)
     net.interpret_action(sender, MessageAction(Sym("x")))
     assert net.queue
-    net.terminate_actor(doomed, "quit")
+    net.terminate_actor(doomed)
     assert not net.queue
     net.run_until_quiescent(10)
     assert seen == []
@@ -250,7 +250,7 @@ def test_duplicate_assertion_shielding():
     net.spawn(monitor, None, [PatchAction(Patch({observe(x)}, ()))])
     net.run_until_quiescent(10)
     events.clear()
-    net.terminate_actor(first, "quit")
+    net.terminate_actor(first)
     net.run_until_quiescent(10)
     assert events == []  # the other claimant still holds x
     assert net.aggregate[x] == 1
@@ -439,7 +439,7 @@ def test_terminate_nested_network_drops_descendants():
     net.spawn(monitor, None, [PatchAction(Patch({observe(WILDCARD)}, ()))])
     net.run_until_quiescent(10)
     events.clear()
-    net.terminate_actor(inner.path, "quit")
+    net.terminate_actor(inner.path)
     net.run_until_quiescent(10)
     assert not inner.actors and not inner.aggregate
     assert events == []  # the network actor asserted nothing upward

@@ -4,6 +4,7 @@ from dataspace import (
     Assert,
     Asserted,
     Bind,
+    Capture,
     Message,
     MessageAction,
     On,
@@ -182,20 +183,25 @@ def test_mux_subscription_overlaps_assert_facet():
 
 
 def test_rising_edge_true_at_install_fires_immediately():
-    net = new_network()
-    seen = []
+    edge = When(RisingEdge(lambda n: n >= 5), lambda ctx, n: n)
+    # two edges true at install, after a message clause: the first one fires
+    two_edges = [
+        When(Message(Sym("never")), lambda ctx, n: "message"),
+        When(RisingEdge(lambda n: n >= 5), lambda ctx, n: "first"),
+        When(RisingEdge(lambda n: n >= 1), lambda ctx, n: "second"),
+    ]
+    for stop, expected in [([edge], 10), (two_edges, "first")]:
+        net = new_network()
+        seen = []
 
-    def script(ctx):
-        got = yield state(
-            collect=[("n", 10)],
-            stop=[When(RisingEdge(lambda n: n >= 5), lambda ctx, n: n)],
-        )
-        seen.append(got)
+        def script(ctx):
+            got = yield state(collect=[("n", 10)], stop=stop)
+            seen.append(got)
 
-    reactive_actor(net, script)
-    net.run_until_quiescent(30)
-    assert seen == [10]
-    assert not net.actors  # everything wound down cleanly
+        reactive_actor(net, script)
+        net.run_until_quiescent(30)
+        assert seen == [expected]
+        assert not net.actors  # everything wound down cleanly
 
 
 def test_rising_edge_false_predicate_never_fires():
@@ -256,7 +262,7 @@ def test_retracted_facet_runs_per_removed_assertion():
     batch = {rec("item", 1), rec("item", 2)}
     net.interpret_action(asserter, PatchAction(Patch(batch, ())))
     net.run_until_quiescent(30)
-    net.terminate_actor(asserter, "quit")
+    net.terminate_actor(asserter)
     net.run_until_quiescent(30)
     assert rec("gone", 2) in net.aggregate
 
@@ -299,6 +305,20 @@ def test_reserved_label_rejected_in_user_patterns():
         state(facets=[On(Message(rec("state-result", WILDCARD, WILDCARD)), lambda ctx: None)])
     with pytest.raises(ValueError):
         until(Asserted(rec("state-result", 0, WILDCARD)))
+
+
+def test_capture_in_surface_pattern_crashes_the_script():
+    net = new_network()
+
+    def script(ctx):
+        yield forever(facets=[On(Message(rec("x", Capture())), lambda ctx: None)])
+
+    script_id = reactive_actor(net, script)
+    net.run_until_quiescent(20)
+    crashes = [e for e in net.trace.entries if e["kind"] == "crash"]
+    assert [e["actor"] for e in crashes] == [net._label(script_id)]
+    assert "TypeError: not a pattern" in crashes[0]["data"]
+    assert not net.actors
 
 
 def test_wildcard_under_binder_crashes_actor():

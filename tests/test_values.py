@@ -225,6 +225,12 @@ def test_compile_surface_duplicate_binder():
         compile_surface(rec("f", Bind("x"), Bind("x")))
 
 
+@pytest.mark.parametrize("leaf", [Capture(), 1.5])
+def test_compile_surface_rejects_non_pattern_leaf(leaf):
+    with pytest.raises(TypeError):
+        compile_surface(rec("x", leaf))
+
+
 @given(value_strategy())
 def test_compile_surface_subscription_matches_iff_extraction_does(v):
     sub, ext, _ = compile_surface(rec("f", Bind("x"), WILDCARD))
