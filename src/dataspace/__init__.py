@@ -48,7 +48,7 @@ from .reactive import (
     state,
     until,
 )
-from .scenarios import SCENARIOS, Scenario, run_scenario, traces_equivalent
+from .scenarios import SCENARIOS, run_scenario, traces_equivalent
 from .tracing import TraceLog, aggregate_snapshots
 from .values import (
     Bind,

@@ -1,4 +1,4 @@
-"""Command-line entry point: list, run, check, and oracle-check scenarios.
+"""Command-line entry point: list, run, and check scenarios.
 
 Exit codes: 0 success, 1 golden mismatch or oracle divergence, 2 unknown
 scenario or usage error, 3 non-quiescent run.
@@ -19,7 +19,7 @@ __all__ = ["main"]
 def _golden_text(name: str) -> str:
     return (
         resources.files("dataspace")
-        .joinpath("goldens", SCENARIOS[name].golden)
+        .joinpath("goldens", f"{name}.jsonl")
         .read_text(encoding="utf-8")
     )
 
@@ -46,7 +46,11 @@ def _cmd_run(name: str, max_steps, out) -> int:
 
 
 def _cmd_check(name: str) -> int:
-    _, lines = run_scenario(name)
+    try:
+        _, lines = run_scenario(name, oracle=True)
+    except VisibilityMismatch as exc:
+        print(f"{name}: oracle divergence: {exc}", file=sys.stderr)
+        return 1
     golden = _golden_text(name).splitlines()
     for i, (got, want) in enumerate(zip(lines, golden)):
         if got != want:
@@ -62,16 +66,6 @@ def _cmd_check(name: str) -> int:
         )
         return 1
     print(f"{name}: ok ({len(lines)} trace entries)")
-    return 0
-
-
-def _cmd_oracle(name: str) -> int:
-    try:
-        _, lines = run_scenario(name, oracle=True)
-    except VisibilityMismatch as exc:
-        print(f"{name}: oracle divergence: {exc}", file=sys.stderr)
-        return 1
-    print(f"{name}: oracle ok ({len(lines)} trace entries)")
     return 0
 
 
@@ -96,12 +90,10 @@ def main(argv=None) -> int:
     p_run.add_argument("scenario")
     p_run.add_argument("--max-steps", type=_positive_int, default=MAX_STEPS)
     p_run.add_argument("--out", default=None, help="write trace to a file")
-    p_check = sub.add_parser("check", help="run and diff against the golden trace")
-    p_check.add_argument("scenario")
-    p_oracle = sub.add_parser(
-        "oracle", help="run with from-scratch visibility recomputation each step"
+    p_check = sub.add_parser(
+        "check", help="run with the visibility oracle on and diff against the golden"
     )
-    p_oracle.add_argument("scenario")
+    p_check.add_argument("scenario")
     args = parser.parse_args(argv)
 
     if args.command == "list":
@@ -113,9 +105,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             return _cmd_run(args.scenario, args.max_steps, args.out)
-        if args.command == "check":
-            return _cmd_check(args.scenario)
-        return _cmd_oracle(args.scenario)
+        return _cmd_check(args.scenario)
     except NonQuiescent as exc:
         print(f"{args.scenario}: {exc}", file=sys.stderr)
         return 3

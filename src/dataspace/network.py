@@ -43,7 +43,7 @@ class NonQuiescent(RuntimeError):
 
 
 class VisibilityMismatch(RuntimeError):
-    """Incremental visibility bookkeeping diverged from a from-scratch recount."""
+    """The network's aggregate counts or visible sets differ from a recount."""
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class MessageAction:
 
 @dataclass(frozen=True)
 class OutputAction:
-    """Modelled console output; becomes an event-message trace entry."""
+    """Modelled console output of a ground value; an event-message trace entry."""
 
     value: Any
 
@@ -153,10 +153,7 @@ class Network:
         this lets stateful runtimes learn their own identity.  Bad startup
         actions or a failing hook crash the new actor, not the caller.
         """
-        aid = (*self.path, self._next_index)
-        self._next_index += 1
-        self.actors[aid] = _ActorEntry(behaviour=behaviour, state=state)
-        self.trace.emit(self._label(aid), "spawn", None)
+        aid = self._register(_ActorEntry(behaviour=behaviour, state=state))
 
         def startup():
             actions = list(startup_actions)
@@ -170,12 +167,17 @@ class Network:
 
     def spawn_nested(self) -> "Network":
         """Create a contained network actor with its own private dataspace."""
+        entry = _ActorEntry(behaviour=None, state=None)
+        aid = self._register(entry)
+        entry.nested = Network(_path=aid, _trace=self.trace, _parent=self)
+        return entry.nested
+
+    def _register(self, entry: _ActorEntry) -> tuple[int, ...]:
         aid = (*self.path, self._next_index)
         self._next_index += 1
-        child = Network(_path=aid, _trace=self.trace, _parent=self)
-        self.actors[aid] = _ActorEntry(behaviour=None, state=None, nested=child)
+        self.actors[aid] = entry
         self.trace.emit(self._label(aid), "spawn", None)
-        return child
+        return aid
 
     def terminate_actor(self, aid: tuple[int, ...], crash: Optional[str] = None) -> None:
         """Retract everything the actor asserted, notify, and remove it.
@@ -187,8 +189,7 @@ class Network:
         entry = self.actors.get(aid)
         if entry is None:
             return
-        if entry.asserted:
-            self._apply_actor_patch(aid, Patch(frozenset(), entry.asserted))
+        self._apply_actor_patch(aid, Patch(frozenset(), entry.asserted))
         if entry.nested is not None:
             entry.nested._finalize_subtree()
         del self.actors[aid]
@@ -237,7 +238,7 @@ class Network:
         elif isinstance(action, MessageAction):
             self._send_message(aid, action.body)
         elif isinstance(action, OutputAction):
-            self.trace.emit(self._label(aid), "event-message", to_jsonable(action.value))
+            self._emit_ground(aid, "event-message", action.value)
         elif isinstance(action, SpawnAction):
             self.spawn(action.behaviour, action.state, action.actions)
         elif isinstance(action, QuitAction):
@@ -270,10 +271,14 @@ class Network:
                 self._enqueue(bid, PatchEvent(delta(entry.last_visible, now)))
                 entry.last_visible = now
 
+    def _emit_ground(self, aid, kind: str, value) -> None:
+        # messages and displayed output carry ground values only
+        if not is_ground(value):
+            raise ValueError(f"non-ground {kind}: {value!r}")
+        self.trace.emit(self._label(aid), kind, to_jsonable(value))
+
     def _send_message(self, sender, body) -> None:
-        if not is_ground(body):
-            raise ValueError(f"non-ground message: {body!r}")
-        self.trace.emit(self._label(sender), "message", to_jsonable(body))
+        self._emit_ground(sender, "message", body)
         for bid, entry in self.actors.items():
             if any(matches(p, body) for p in interests_of(entry.asserted)):
                 self._enqueue(bid, MessageEvent(body))
@@ -299,13 +304,11 @@ class Network:
             i = index if 0 < index < len(self.queue) else 0
             aid, event = self.queue[i]
             del self.queue[i]
-            entry = self.actors.get(aid)
-            if entry is None:
-                continue  # defensive: terminate_actor already filters
+            entry = self.actors[aid]
             if entry.nested is not None:
                 child = entry.nested
                 child._tick_pending = False
-                progressed = child.dispatch_one() if child.queue else False
+                progressed = child.dispatch_one()
                 if child.queue:
                     child._notify_parent()
                 if not progressed:
@@ -348,7 +351,7 @@ class Network:
             recount.update(entry.asserted)
         if recount != self.aggregate:
             raise VisibilityMismatch(
-                f"aggregate drift at {self._label(self.path) if self.path else 'g'}: "
+                f"aggregate drift at {self._label(self.path)}: "
                 f"{dict(self.aggregate)} != {dict(recount)}"
             )
         support = frozenset(self.aggregate)

@@ -9,7 +9,6 @@ event-message trace entries so traces stay host-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .network import (
@@ -52,21 +51,11 @@ from .values import (
     rec,
 )
 
-__all__ = ["SCENARIOS", "Scenario", "run_scenario", "traces_equivalent"]
+__all__ = ["SCENARIOS", "run_scenario", "traces_equivalent"]
 
 NOVEL = "novel.txt"
 NOVEL_TEXT = "It was a dark and stormy night"
 MAX_STEPS = 500  # dispatch budget of a scenario run
-
-
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    build: Callable[[Network], None]
-
-    @property
-    def golden(self) -> str:
-        return f"{self.name}.jsonl"
 
 
 def _account(balance):
@@ -387,16 +376,14 @@ def build_file_system_plain(net: Network) -> None:
 # -- registry and runner -----------------------------------------------------------------
 
 
-SCENARIOS: dict[str, Scenario] = {
-    s.name: s
-    for s in (
-        Scenario("bank-account-plain", build_bank_account_plain),
-        Scenario("bank-account-reactive", build_bank_account_reactive),
-        Scenario("counter", build_counter),
-        Scenario("counter-interrupt", build_counter_interrupt),
-        Scenario("file-system-plain", build_file_system_plain),
-        Scenario("file-system-reactive", build_file_system_reactive),
-    )
+# each scenario's golden trace is goldens/<name>.jsonl
+SCENARIOS: dict[str, Callable[[Network], None]] = {
+    "bank-account-plain": build_bank_account_plain,
+    "bank-account-reactive": build_bank_account_reactive,
+    "counter": build_counter,
+    "counter-interrupt": build_counter_interrupt,
+    "file-system-plain": build_file_system_plain,
+    "file-system-reactive": build_file_system_reactive,
 }
 
 
@@ -409,14 +396,14 @@ def run_scenario(
 ) -> tuple[Network, list[str]]:
     """Build and run a scenario to quiescence; returns (network, trace lines).
 
-    With oracle=True the incremental visibility bookkeeping is recomputed
-    from scratch after every dispatch.  picker, given the queue length,
-    chooses which queued event to dispatch next (tests use it to explore
-    alternative interleavings; default is FIFO).
+    With oracle=True the aggregate counts and every actor's visible set are
+    recounted from scratch after every dispatch and compared with the ones
+    the network keeps (VisibilityMismatch on a difference).  picker, given
+    the queue length, chooses which queued event to dispatch next (tests use
+    it to explore alternative interleavings; default is FIFO).
     """
-    scenario = SCENARIOS[name]
     net = new_network()
-    scenario.build(net)
+    SCENARIOS[name](net)
     net.run_until_quiescent(
         max_steps,
         pick=picker,

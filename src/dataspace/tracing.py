@@ -38,22 +38,18 @@ def patch_jsonable(p: Patch) -> dict:
     }
 
 
-def _iter_entries(trace):
-    for item in trace:
-        yield json.loads(item) if isinstance(item, str) else item
-
-
 def aggregate_snapshots(trace, lens) -> list[frozenset]:
     """Distinct aggregate snapshots visible through a lens pattern.
 
-    Replays the patch-out entries of a trace into an assertion bag and
-    records the support restricted to lens-matching assertions, collapsing
-    consecutive duplicates.  Actor identities are deliberately erased.
-    Raises KeyError when the trace retracts something it never asserted.
+    Replays the patch-out entries of a trace, given as its JSON lines, into
+    an assertion bag and records the support restricted to lens-matching
+    assertions, collapsing consecutive duplicates.  Actor identities are
+    deliberately erased.  Raises KeyError when the trace retracts something
+    it never asserted.
     """
     bag = Bag()
     snaps = [frozenset()]
-    for entry in _iter_entries(trace):
+    for entry in map(json.loads, trace):
         if entry["kind"] != "patch-out":
             continue
         added, removed = entry["data"]["added"], entry["data"]["removed"]

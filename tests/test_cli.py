@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from dataspace import SCENARIOS
+from dataspace import SCENARIOS, Network, VisibilityMismatch
 from dataspace.cli import main
 
 
@@ -90,9 +90,15 @@ def test_check_reports_length_mismatch(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("name", ALL)
-def test_oracle_subcommand_passes(name, capsys):
-    assert main(["oracle", name]) == 0
-    assert "oracle ok" in capsys.readouterr().out
+def test_check_reports_oracle_divergence(name, monkeypatch, capsys):
+    def diverge(net):
+        raise VisibilityMismatch("induced")
+
+    monkeypatch.setattr(Network, "check_visibility", diverge)
+    assert main(["check", name]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{name}: oracle divergence: induced" in captured.err
 
 
 def test_console_runs_are_byte_identical_across_processes():

@@ -17,6 +17,7 @@ from dataspace import (
     QUIT,
     SpawnAction,
     Sym,
+    VisibilityMismatch,
     WILDCARD,
     interests_of,
     new_network,
@@ -338,6 +339,22 @@ def test_non_value_startup_assertion_crashes_new_actor(bad, detail):
     assert [e["kind"] for e in net.trace.entries] == ["spawn", "crash"]
 
 
+@pytest.mark.parametrize(
+    "shown",
+    [Capture(), WILDCARD, rec("x", WILDCARD), 1.5],
+    ids=["capture", "wildcard", "record-with-wildcard", "float"],
+)
+def test_displaying_a_non_value_crashes_the_actor(shown):
+    net = new_network()
+    aid = net.spawn(
+        idle, None, [PatchAction(Patch({rec("ok", 1)}, ())), OutputAction(shown)]
+    )
+    assert_crashed_cleanly(net, aid, f"ValueError: non-ground event-message: {shown!r}")
+    assert not net.aggregate
+    kinds = [e["kind"] for e in net.trace.entries]
+    assert kinds == ["spawn", "patch-out", "patch-out", "crash"]
+
+
 def test_ping_pong_reports_non_quiescent():
     net = new_network()
 
@@ -464,6 +481,31 @@ def test_aggregate_matches_per_actor_sets_at_quiescence():
     net.check_visibility()
 
 
+@pytest.mark.parametrize(
+    "corrupt, drift",
+    [
+        ("visible-set", "visible-set drift at g/2: "),
+        ("aggregate", "aggregate drift at g: "),
+        ("nested-aggregate", "aggregate drift at g/0: "),
+    ],
+    ids=["visible-set", "aggregate", "nested-aggregate"],
+)
+def test_visibility_oracle_detects_drift(corrupt, drift):
+    net = new_network()
+    inner = net.spawn_nested()
+    build_bank_account_plain(inner)
+    build_bank_account_plain(net)
+    net.run_until_quiescent(400)
+    net.check_visibility()
+    if corrupt == "visible-set":
+        net.actors[(2,)].last_visible = frozenset()  # the balance observer
+    else:
+        # a second claim on a held assertion: the support stays, the count drifts
+        (net if corrupt == "aggregate" else inner).aggregate[account(70)] += 1
+    with pytest.raises(VisibilityMismatch, match=drift):
+        net.check_visibility()
+
+
 # -- misbehaving actors ---------------------------------------------------------------
 
 POKE = observe(rec("poke", WILDCARD))
@@ -531,6 +573,10 @@ def misbehaving(event, moves):
         return Continue(rest, [poke, MessageAction(rec("poke", Capture()))])
     if move == "display-non-value":
         return Continue(rest, [OutputAction(1.5)])
+    if move == "display-capture":
+        return Continue(rest, [fact, OutputAction(Capture())])
+    if move == "display-wildcard":
+        return Continue(rest, [fact, OutputAction(WILDCARD)])
     if move == "quit-midway":
         return Continue(rest, [fact, QUIT, poke])
     if move == "spawn-failing-hook":
@@ -559,6 +605,8 @@ MOVES = st.sampled_from(
         "send-non-ground",
         "send-capture",
         "display-non-value",
+        "display-capture",
+        "display-wildcard",
         "quit-midway",
         "spawn",
         "spawn-failing-hook",

@@ -365,6 +365,82 @@ def test_wrong_fold_width_crashes_at_runtime():
     assert any(e["kind"] == "crash" for e in net.trace.entries)
 
 
+def crashes(net):
+    return [(e["actor"], e["data"]) for e in net.trace.entries if e["kind"] == "crash"]
+
+
+def run_then_send(script, body):
+    """Run the script until it waits, then send it one message from a peer."""
+    net = new_network()
+    reactive_actor(net, script)  # g/0; its state host is g/1
+    kicker = net.spawn(lambda e, s: None, None)
+    net.run_until_quiescent(20)
+    net.interpret_action(kicker, MessageAction(body))
+    net.run_until_quiescent(30)
+    return net
+
+
+@pytest.mark.parametrize(
+    "facet, error",
+    [
+        (On(RisingEdge(lambda: True), lambda ctx: None), "rising-edge events only"),
+        (42, "not a facet: 42"),
+    ],
+    ids=["rising-edge-on", "non-facet"],
+)
+def test_bad_facet_rejected_at_construction(facet, error):
+    with pytest.raises(TypeError, match=error):
+        state(facets=[facet])
+
+
+def test_script_yielding_a_non_state_crashes_the_script():
+    def script(ctx):
+        yield 42
+
+    net = new_network()
+    script_id = reactive_actor(net, script)
+    net.run_until_quiescent(10)
+    assert crashes(net) == [
+        (net._label(script_id), "TypeError: script yielded 42; expected a state spec")
+    ]
+    assert not net.actors
+
+
+def test_body_returning_a_value_with_nothing_collected_crashes_the_host():
+    def script(ctx):
+        yield forever(facets=[On(Message(Sym("x")), lambda ctx: 1)])
+
+    net = run_then_send(script, Sym("x"))
+    assert crashes(net) == [
+        ("g/1", "ValueError: facet body returned values but nothing is collected")
+    ]
+
+
+def test_two_value_collect_folds_a_pair():
+    seen = []
+
+    def script(ctx):
+        got = yield state(
+            collect=[("a", 0), ("b", 10)],
+            facets=[On(Message(Sym("x")), lambda ctx, a, b: (a + 1, b + 2))],
+            stop=[When(RisingEdge(lambda a, b: a >= 1), lambda ctx, a, b: (a, b))],
+        )
+        seen.append(got)
+
+    net = run_then_send(script, Sym("x"))
+    assert seen == [(1, 12)]
+    assert not crashes(net)
+
+
+def test_stop_body_returning_a_non_value_crashes_the_host():
+    def script(ctx):
+        yield until(Message(Sym("go")), body=lambda ctx: 1.5)
+
+    net = run_then_send(script, Sym("go"))
+    # the host's crash only: its script stays suspended (README crash contract)
+    assert crashes(net) == [("g/1", "ValueError: state result is not a ground value: 1.5")]
+
+
 def test_detached_state_from_facet_body():
     net = new_network()
 

@@ -4,14 +4,20 @@ import pytest
 
 from dataspace import (
     SCENARIOS,
+    MessageAction,
+    Patch,
+    PatchAction,
     Sym,
     WILDCARD,
     aggregate_snapshots,
     canonical_decode,
+    new_network,
+    observe,
     rec,
     run_scenario,
     traces_equivalent,
 )
+from dataspace.scenarios import MAX_STEPS
 
 
 def entries(lines):
@@ -157,6 +163,37 @@ def test_file_system_save_reaches_both_store_and_cache():
 def test_file_system_plain_and_reactive_agree():
     _, plain = run_scenario("file-system-plain")
     _, reactive = run_scenario("file-system-reactive")
+    assert traces_equivalent(plain, reactive, FILE_LENS)
+
+
+def delete_then_save(name):
+    """Run a file-system scenario, then delete and re-save the watched file."""
+    net = new_network()
+    SCENARIOS[name](net)
+    watched = observe(rec("file", "novel.txt", WILDCARD))
+    peer = net.spawn(lambda e, s: None, None, [PatchAction(Patch({watched}, ()))])
+    net.run_until_quiescent(MAX_STEPS)
+    # a ground message: the wildcard form is refused as non-ground
+    net.interpret_action(peer, MessageAction(rec("delete", rec("file", "novel.txt", False))))
+    net.run_until_quiescent(MAX_STEPS)
+    net.interpret_action(peer, MessageAction(rec("save", rec("file", "novel.txt", "x"))))
+    net.run_until_quiescent(MAX_STEPS, after_step=net.check_visibility)
+    return net.trace.lines()
+
+
+@pytest.mark.parametrize("name", ["file-system-plain", "file-system-reactive"])
+def test_file_system_delete_resets_the_cache_entry(name):
+    snaps = aggregate_snapshots(delete_then_save(name), FILE_LENS)
+    assert snaps[-3:] == [
+        frozenset({rec("file", "novel.txt", NOVEL_TEXT)}),
+        frozenset({rec("file", "novel.txt", False)}),
+        frozenset({rec("file", "novel.txt", "x")}),
+    ]
+
+
+def test_file_system_delete_agrees_across_styles():
+    plain = delete_then_save("file-system-plain")
+    reactive = delete_then_save("file-system-reactive")
     assert traces_equivalent(plain, reactive, FILE_LENS)
 
 
