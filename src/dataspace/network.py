@@ -2,20 +2,26 @@
 
 Actors are leaf behaviours (functions from an event and private state to a
 step result) or nested networks.  All shared-state changes flow through
-patches; the network turns each patch into per-actor state change
-notifications by diffing every actor's visible set.  Scheduling is a single
+patches.  The network files every interest and every supported assertion
+in an index, so a patch or message reaches only the actors whose interests
+intersect what changed; each actor keeps a bag counting, per visible
+assertion, how many of its interests intersect it, and the crossings of
+those counts are its state change notifications.  ``check_visibility``
+recounts all of this from scratch as a test oracle.  Scheduling is a single
 FIFO of (actor, event) pairs, so identical programs produce identical traces.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from .patches import Bag, Patch, apply_patch, clamp_patch, delta, interests_of, visible
+# delta is unused here: the traced benchmark (bench/spans.py) wraps it by this
+# module's name, as it does visible and interests_of
+from .patches import Bag, Index, Patch, apply_patch, clamp_patch, delta, interests_of, route, visible
 from .tracing import TraceLog, patch_jsonable
-from .values import is_ground, is_pattern, matches, to_jsonable
+from .values import intersect, is_ground, is_pattern, matches, to_jsonable
 
 __all__ = [
     "Continue",
@@ -100,8 +106,14 @@ class _ActorEntry:
     behaviour: Optional[Callable]
     state: Any
     asserted: frozenset = frozenset()
-    last_visible: frozenset = frozenset()
+    # visible assertion -> how many of this actor's interests intersect it
+    seen: Bag = field(default_factory=Bag)
     nested: Optional["Network"] = None
+
+    @property
+    def last_visible(self) -> frozenset:
+        """The assertions this actor currently sees."""
+        return frozenset(self.seen)
 
 
 @dataclass
@@ -125,6 +137,8 @@ class Network:
         self.path: tuple[int, ...] = _path
         self.actors: dict[tuple[int, ...], _ActorEntry] = {}
         self.aggregate: Bag = Bag()
+        self.support = Index()  # the aggregate's support
+        self.interests = Index()  # every actor's interests, filed under its aid
         self.queue: deque = deque()
         self.trace: TraceLog = _trace if _trace is not None else TraceLog()
         self._next_index = 0
@@ -206,6 +220,8 @@ class Network:
             self.trace.emit(self._label(cid), "quit", None)
         self.actors.clear()
         self.aggregate.clear()
+        self.support.clear()
+        self.interests.clear()
         self.queue.clear()
 
     # -- action interpretation ----------------------------------------------
@@ -259,17 +275,15 @@ class Network:
                 raise TypeError(f"not a pattern: {a!r}")
         encoded = patch_jsonable(clamped)
         entry.asserted = apply_patch(entry.asserted, clamped)
-        self.aggregate.change(clamped.added, clamped.removed)
+        change = self.aggregate.change(clamped.added, clamped.removed)
         self.trace.emit(self._label(aid), "patch-out", encoded)
-        self._refresh_visibility()
-
-    def _refresh_visibility(self) -> None:
-        support = frozenset(self.aggregate)
-        for bid, entry in self.actors.items():
-            now = visible(support, interests_of(entry.asserted))
-            if now != entry.last_visible:
-                self._enqueue(bid, PatchEvent(delta(entry.last_visible, now)))
-                entry.last_visible = now
+        # aids only grow, so sorted order is the actor table's order
+        for bid, (claims, releases) in route(
+            self.support, self.interests, aid, clamped, change
+        ).items():
+            seen = self.actors[bid].seen.change(claims, releases)
+            if not seen.is_empty():
+                self._enqueue(bid, PatchEvent(seen))
 
     def _emit_ground(self, aid, kind: str, value) -> None:
         # messages and displayed output carry ground values only
@@ -279,9 +293,9 @@ class Network:
 
     def _send_message(self, sender, body) -> None:
         self._emit_ground(sender, "message", body)
-        for bid, entry in self.actors.items():
-            if any(matches(p, body) for p in interests_of(entry.asserted)):
-                self._enqueue(bid, MessageEvent(body))
+        receivers = {bid for bid, p in self.interests.candidates(body) if matches(p, body)}
+        for bid in sorted(receivers):
+            self._enqueue(bid, MessageEvent(body))
 
     # -- scheduling -----------------------------------------------------------
 
@@ -345,7 +359,14 @@ class Network:
     # -- brute-force oracle ----------------------------------------------------
 
     def check_visibility(self) -> None:
-        """Recompute aggregate counts and visible sets from scratch and compare."""
+        """Recount the aggregate and every actor's visible bag from scratch; compare.
+
+        This is the test oracle for the indexed routing: it walks every
+        actor's whole assertion set and the whole support instead of the
+        indexes, and checks that each actor sees exactly the assertions some
+        interest of its own intersects, each counted once per such interest.
+        Nested networks are checked in turn.
+        """
         recount: Counter = Counter()
         for entry in self.actors.values():
             recount.update(entry.asserted)
@@ -356,12 +377,20 @@ class Network:
             )
         support = frozenset(self.aggregate)
         for bid, entry in self.actors.items():
-            expect = visible(support, interests_of(entry.asserted))
+            interests = interests_of(entry.asserted)
+            expect = visible(support, interests)
             if expect != entry.last_visible:
                 raise VisibilityMismatch(
                     f"visible-set drift at {self._label(bid)}: "
                     f"{set(entry.last_visible)} != {set(expect)}"
                 )
+            for a in expect:
+                n = sum(intersect(p, a) is not None for p in interests)
+                if entry.seen[a] != n:
+                    raise VisibilityMismatch(
+                        f"visible-count drift at {self._label(bid)}: "
+                        f"{a!r} counted {entry.seen[a]}, not {n}"
+                    )
             if entry.nested is not None:
                 entry.nested.check_visibility()
 

@@ -2,26 +2,32 @@
 
 A patch is a disjoint (added, removed) pair of assertion sets: the sole
 mechanism for changing shared state.  A bag counts how many holders claim
-each assertion; only its support is ever seen.  The visibility calculus
-below is what the network uses to compute per-actor deltas.
+each assertion; only its support is ever seen.  An index files patterns so
+that a lookup returns only those that can intersect a query, and ``route``
+turns one clamped patch into per-actor claims and releases through two of
+them.  ``visible`` recounts an actor's visible set from scratch; the
+network's oracle compares it with what the indexes delivered.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
-from .values import OBSERVE, Record, intersect
+from .values import OBSERVE, WILDCARD, Record, intersect
 
 __all__ = [
     "Bag",
     "EMPTY_PATCH",
+    "Index",
     "Patch",
     "apply_patch",
     "clamp_patch",
     "delta",
     "interests_of",
+    "route",
     "seq_patches",
     "visible",
 ]
@@ -103,13 +109,16 @@ class Bag(Counter):
         return Patch(gained, lost)
 
 
+def _observed(s: Iterable):
+    # the pattern of each observe assertion in s, one observe unwrapped
+    for a in s:
+        if isinstance(a, Record) and a.label == OBSERVE and len(a.fields) == 1:
+            yield a.fields[0]
+
+
 def interests_of(s: Iterable) -> frozenset:
     """Patterns this assertion set expresses interest in (one observe unwrapped)."""
-    return frozenset(
-        a.fields[0]
-        for a in s
-        if isinstance(a, Record) and a.label == OBSERVE and len(a.fields) == 1
-    )
+    return frozenset(_observed(s))
 
 
 def visible(aggregate: Iterable, interests: Iterable) -> frozenset:
@@ -125,3 +134,97 @@ def delta(before: frozenset, after: frozenset) -> Patch:
     before = frozenset(before)
     after = frozenset(after)
     return Patch(after - before, before - after)
+
+
+def _slot_keys(p):
+    # (slot, bucket) a pattern is filed under: a record by label and arity,
+    # then by its first field (an atom, a record's label and arity, or the
+    # wildcard); a top-level wildcard and each bare atom by themselves.
+    # Keys use plain value equality, the equality of Bag and frozenset.
+    if isinstance(p, Record):
+        if not p.fields:
+            return (p.label, 0), None
+        f = p.fields[0]
+        return (p.label, len(p.fields)), ((f.label, len(f.fields)) if isinstance(f, Record) else f)
+    return p, None
+
+
+class Index:
+    """Patterns filed by shape and first field, each under the holder filing it.
+
+    A lookup returns candidates only: every pattern that can intersect the
+    query is among them, and the caller confirms each one.  A pattern is
+    kept as its holder filed it, so values that are equal but of different
+    types (1 and #t) share a bucket and are still confirmed as themselves.
+    """
+
+    def __init__(self):
+        self._slots: dict = {}  # slot -> bucket -> {(holder, pattern): same pair}
+
+    def add(self, p, holder=None) -> None:
+        slot, bucket = _slot_keys(p)
+        pair = (holder, p)
+        self._slots.setdefault(slot, {}).setdefault(bucket, {})[pair] = pair
+
+    def remove(self, p, holder=None):
+        """Unfile p for holder; returns the pattern as it was filed."""
+        slot, bucket = _slot_keys(p)
+        buckets = self._slots[slot]
+        pairs = buckets[bucket]
+        _, filed = pairs.pop((holder, p))
+        if not pairs:
+            del buckets[bucket]
+            if not buckets:
+                del self._slots[slot]
+        return filed
+
+    def clear(self) -> None:
+        self._slots.clear()
+
+    def candidates(self, q):
+        """(holder, pattern) pairs whose pattern may intersect q, each pair once."""
+        if q is WILDCARD:
+            groups = [pairs for buckets in self._slots.values() for pairs in buckets.values()]
+        else:
+            slot, bucket = _slot_keys(q)
+            buckets = self._slots.get(slot, {})
+            if bucket is WILDCARD:
+                groups = list(buckets.values())
+            else:  # an atom or a zero-field record has no wildcard bucket
+                groups = [buckets.get(bucket, ()), buckets.get(WILDCARD, ())]
+            groups.extend(self._slots.get(WILDCARD, {}).values())
+        return chain.from_iterable(groups)
+
+
+def _intersecting(index: Index, q):
+    return [(h, p) for h, p in index.candidates(q) if intersect(p, q) is not None]
+
+
+def route(support: Index, interests: Index, holder, own: Patch, change: Patch) -> dict:
+    """Carry one clamped patch into both indexes; each touched holder's claims and releases.
+
+    own is the holder's clamped patch, whose observe assertions are its
+    interest delta; change is the support delta the aggregate bag returned
+    for it.  A holder claims an assertion once for each of its interests that
+    starts to intersect it and releases it once for each that stops, so its
+    visible bag counts the interests intersecting each assertion.  Holders
+    come in sorted order; assertions are given as filed in support.
+    """
+    claims, releases = defaultdict(list), defaultdict(list)
+    # the order of the four steps makes each (assertion, interest) pair that
+    # appears or vanishes count exactly once
+    for a in change.removed:  # lost support, against every interest held before
+        a = support.remove(a)  # as filed: the bag reports the releasing copy
+        for h, _ in _intersecting(interests, a):
+            releases[h].append(a)
+    for p in _observed(own.removed):  # dropped interests, against surviving support
+        p = interests.remove(p, holder)
+        releases[holder].extend(a for _, a in _intersecting(support, p))
+    for a in change.added:  # new support, against the interests that stay
+        support.add(a)
+        for h, _ in _intersecting(interests, a):
+            claims[h].append(a)
+    for p in _observed(own.added):  # new interests, against all support after
+        interests.add(p, holder)
+        claims[holder].extend(a for _, a in _intersecting(support, p))
+    return {h: (claims[h], releases[h]) for h in sorted(claims.keys() | releases.keys())}

@@ -1,4 +1,9 @@
+import importlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -20,6 +25,7 @@ from dataspace import (
     VisibilityMismatch,
     WILDCARD,
     interests_of,
+    is_ground,
     new_network,
     observe,
     rec,
@@ -462,6 +468,88 @@ def test_terminate_nested_network_drops_descendants():
     assert events == []  # the network actor asserted nothing upward
 
 
+def test_colliding_values_route_through_the_index():
+    # 1 and #t are one value to the aggregate bag but not to intersect: the
+    # bag reports B's (a #t) as lost, while the support holds A's (a 1),
+    # which C's interest in (a #t) never matched
+    net = new_network()
+    a = net.spawn(idle, None, [PatchAction(Patch({rec("a", 1)}, ()))])
+    b = net.spawn(idle, None, [PatchAction(Patch({rec("a", True)}, ()))])
+    net.spawn(idle, None, [PatchAction(Patch({observe(rec("a", True))}, ()))])
+    net.run_until_quiescent(10, after_step=net.check_visibility)
+    net.interpret_action(a, PatchAction(Patch((), {rec("a", 1)})))
+    net.interpret_action(b, PatchAction(Patch((), {rec("a", True)})))
+    net.run_until_quiescent(10, after_step=net.check_visibility)
+    assert not [e for e in net.trace.entries if e["kind"] == "crash"]
+    assert dict(net.aggregate) == {observe(rec("a", True)): 1}
+
+
+def test_equal_interests_of_different_types_are_confirmed_per_holder():
+    # (a #t) and (a 1) share an index bucket; each holder is confirmed with
+    # its own pattern, as the recount does
+    net = new_network()
+    c = net.spawn(idle, None, [PatchAction(Patch({observe(rec("a", True))}, ()))])
+    d = net.spawn(idle, None, [PatchAction(Patch({observe(rec("a", 1))}, ()))])
+    a = net.spawn(idle, None, [PatchAction(Patch({rec("a", 1)}, ()))])
+    net.run_until_quiescent(10, after_step=net.check_visibility)
+    assert not net.actors[c].last_visible
+    assert [type(v.fields[0]) for v in net.actors[d].last_visible] == [int]
+    net.interpret_action(a, MessageAction(rec("a", 1)))
+    assert list(net.queue) == [(d, MessageEvent(rec("a", 1)))]
+
+
+# what the random programs assert, observe and send: every kind of slot and
+# bucket the routing index files a pattern under, and 1 beside #t
+ROUTED = (
+    WILDCARD, 0, 1, True, "s", Sym("s"),
+    rec("z"), rec("a", 1), rec("a", True), rec("a", WILDCARD), rec("a", rec("z")),
+    rec("r", rec("a", 1), 2), rec("r", rec("a", WILDCARD), WILDCARD), rec("r", WILDCARD, 2),
+    observe(rec("a", WILDCARD)),
+)  # fmt: skip
+INTERESTS = tuple(observe(p) for p in ROUTED) + (observe(observe(WILDCARD)),)
+GROUND = tuple(v for v in ROUTED if is_ground(v))
+
+
+def random_action(rng, budget=0):
+    """A patch, message, quit or spawn drawn from the routed pool."""
+    roll = rng.random()
+    if roll < 0.6:
+        pool = ROUTED + INTERESTS
+        added = set(rng.sample(pool, rng.randint(0, 4)))
+        return PatchAction(Patch(added, set(rng.sample(pool, rng.randint(0, 4))) - added))
+    if roll < 0.85:
+        return MessageAction(rng.choice(GROUND))
+    if roll < 0.93:
+        return QUIT
+    return SpawnAction(player, (random.Random(rng.random()), budget), [random_action(rng)])
+
+
+def player(event, state):
+    """Answers up to budget events with a random action of its own."""
+    rng, budget = state
+    if budget and rng.random() < 0.3:
+        return Continue((rng, budget - 1), [random_action(rng)])
+    return None
+
+
+def run_random_program(seed, oracle=True):
+    """2-7 players, some in one nested network, driven by random actions."""
+    rng = random.Random(seed)
+    net = new_network()
+    after_step = net.check_visibility if oracle else None
+    inner = net.spawn_nested()
+    for _ in range(rng.randint(2, 7)):
+        host = rng.choice((net, inner))
+        host.spawn(player, (random.Random(rng.random()), 3), [random_action(rng)])
+    for _ in range(20):
+        host = rng.choice((net, inner))
+        players = [aid for aid, e in host.actors.items() if e.nested is None]
+        if players:
+            host.interpret_action(rng.choice(players), random_action(rng, budget=2))
+        net.run_until_quiescent(2000, pick=rng.randrange, after_step=after_step)
+    return net
+
+
 def test_visibility_oracle_under_randomized_dispatch():
     rng = random.Random(7)
     for _ in range(25):
@@ -469,6 +557,10 @@ def test_visibility_oracle_under_randomized_dispatch():
         build_bank_account_plain(net)
         net.run_until_quiescent(300, pick=rng.randrange, after_step=net.check_visibility)
         assert account(70) in net.aggregate
+    for seed in range(300):
+        net = run_random_program(seed)
+        net.check_visibility()
+        assert not [e for e in net.trace.entries if e["kind"] == "crash"], seed
 
 
 def test_aggregate_matches_per_actor_sets_at_quiescence():
@@ -485,10 +577,11 @@ def test_aggregate_matches_per_actor_sets_at_quiescence():
     "corrupt, drift",
     [
         ("visible-set", "visible-set drift at g/2: "),
+        ("visible-count", r"visible-count drift at g/2: \(account 70\) counted 2, not 1"),
         ("aggregate", "aggregate drift at g: "),
         ("nested-aggregate", "aggregate drift at g/0: "),
     ],
-    ids=["visible-set", "aggregate", "nested-aggregate"],
+    ids=["visible-set", "visible-count", "aggregate", "nested-aggregate"],
 )
 def test_visibility_oracle_detects_drift(corrupt, drift):
     net = new_network()
@@ -498,12 +591,73 @@ def test_visibility_oracle_detects_drift(corrupt, drift):
     net.run_until_quiescent(400)
     net.check_visibility()
     if corrupt == "visible-set":
-        net.actors[(2,)].last_visible = frozenset()  # the balance observer
+        net.actors[(2,)].seen.clear()  # the balance observer
+    elif corrupt == "visible-count":
+        # a second claim on a visible assertion: the set stays, the count drifts
+        net.actors[(2,)].seen[account(70)] += 1
     else:
         # a second claim on a held assertion: the support stays, the count drifts
         (net if corrupt == "aggregate" else inner).aggregate[account(70)] += 1
     with pytest.raises(VisibilityMismatch, match=drift):
         net.check_visibility()
+
+
+# the names the traced benchmark (bench/spans.py) counts calls to
+CONFIRMING = (
+    ("patches", "intersect"),
+    ("reactive", "intersect"),
+    ("network", "matches"),
+    ("reactive", "matches"),
+)
+
+
+def routing_work(n) -> list:
+    """Counted confirmations for one assert, retract and message among n observers."""
+    net = new_network()
+    for i in range(n):
+        net.spawn(idle, None, [PatchAction(Patch({observe(rec("k", i, WILDCARD))}, ()))])
+    publisher = net.spawn(idle, None)
+    net.run_until_quiescent(2 * n)
+    calls, originals = [], []
+    for module, name in CONFIRMING:
+        module = importlib.import_module(f"dataspace.{module}")
+        fn = getattr(module, name)
+        originals.append((module, name, fn))
+        setattr(module, name, lambda *args, fn=fn: calls.append(1) or fn(*args))
+    counts = []
+    try:
+        for action in (
+            PatchAction(Patch({rec("k", 0, "r")}, ())),
+            PatchAction(Patch((), {rec("k", 0, "r")})),
+            MessageAction(rec("k", 0, "r")),
+        ):
+            calls.clear()
+            net.interpret_action(publisher, action)
+            net.run_until_quiescent(10)
+            counts.append(len(calls))
+    finally:
+        for module, name, fn in originals:
+            setattr(module, name, fn)
+    return counts
+
+
+def test_routing_work_does_not_grow_with_observers():
+    assert routing_work(50) == routing_work(400)
+    # nor on set layout: the same counts under two hash seeds
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")])
+    code = "from test_network import routing_work; print(routing_work(50), routing_work(400))"
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outs[0] == outs[1]
 
 
 # -- misbehaving actors ---------------------------------------------------------------
