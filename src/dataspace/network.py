@@ -17,11 +17,22 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-# delta is unused here: the traced benchmark (bench/spans.py) wraps it by this
-# module's name, as it does visible and interests_of
-from .patches import Bag, Index, Patch, apply_patch, clamp_patch, delta, interests_of, route, visible
+# delta and interests_of are unused here: the traced benchmark (bench/spans.py)
+# wraps them by this module's name, as it does visible
+from .patches import (
+    Bag,
+    Index,
+    Patch,
+    apply_patch,
+    clamp_patch,
+    delta,
+    interests_of,
+    observed,
+    route,
+    visible,
+)
 from .tracing import TraceLog, patch_jsonable
-from .values import intersect, is_ground, is_pattern, matches, to_jsonable
+from .values import WILDCARD, Record, intersect, is_ground, is_pattern, matches, to_jsonable
 
 __all__ = [
     "Continue",
@@ -269,11 +280,15 @@ class Network:
             return
         # reject non-values before anything changes: is_pattern catches
         # foreign types and capture holes, the encoding catches strings that
-        # collide with the canonical grammar
+        # collide with the canonical grammar, and a bare atom is refused
+        # because a set of them cannot keep 1 and #t apart
         for a in clamped.added:
             if not is_pattern(a):
                 raise TypeError(f"not a pattern: {a!r}")
         encoded = patch_jsonable(clamped)
+        for a in clamped.added:
+            if not (a is WILDCARD or isinstance(a, Record)):
+                raise TypeError(f"bare atom asserted: {a!r}")
         entry.asserted = apply_patch(entry.asserted, clamped)
         change = self.aggregate.change(clamped.added, clamped.removed)
         self.trace.emit(self._label(aid), "patch-out", encoded)
@@ -377,7 +392,7 @@ class Network:
             )
         support = frozenset(self.aggregate)
         for bid, entry in self.actors.items():
-            interests = interests_of(entry.asserted)
+            interests = tuple(observed(entry.asserted))
             expect = visible(support, interests)
             if expect != entry.last_visible:
                 raise VisibilityMismatch(

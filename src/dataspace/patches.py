@@ -27,6 +27,7 @@ __all__ = [
     "clamp_patch",
     "delta",
     "interests_of",
+    "observed",
     "route",
     "seq_patches",
     "visible",
@@ -109,16 +110,20 @@ class Bag(Counter):
         return Patch(gained, lost)
 
 
-def _observed(s: Iterable):
-    # the pattern of each observe assertion in s, one observe unwrapped
+def observed(s: Iterable):
+    """The pattern of each observe assertion in s, one observe unwrapped.
+
+    One pattern per assertion: a bare 1 and #t observed side by side stay two
+    interests, where the set :func:`interests_of` returns would merge them.
+    """
     for a in s:
-        if isinstance(a, Record) and a.label == OBSERVE and len(a.fields) == 1:
+        if isinstance(a, Record) and a.label is OBSERVE and len(a.fields) == 1:
             yield a.fields[0]
 
 
 def interests_of(s: Iterable) -> frozenset:
     """Patterns this assertion set expresses interest in (one observe unwrapped)."""
-    return frozenset(_observed(s))
+    return frozenset(observed(s))
 
 
 def visible(aggregate: Iterable, interests: Iterable) -> frozenset:
@@ -136,47 +141,48 @@ def delta(before: frozenset, after: frozenset) -> Patch:
     return Patch(after - before, before - after)
 
 
+def _atom_key(a):
+    # bare atoms are Python's own int, bool and str: the type keeps 1 and #t apart
+    return a if a is WILDCARD else (type(a), a)
+
+
 def _slot_keys(p):
     # (slot, bucket) a pattern is filed under: a record by label and arity,
     # then by its first field (an atom, a record's label and arity, or the
     # wildcard); a top-level wildcard and each bare atom by themselves.
-    # Keys use plain value equality, the equality of Bag and frozenset.
     if isinstance(p, Record):
         if not p.fields:
             return (p.label, 0), None
         f = p.fields[0]
-        return (p.label, len(p.fields)), ((f.label, len(f.fields)) if isinstance(f, Record) else f)
-    return p, None
+        return (p.label, len(p.fields)), (
+            (f.label, len(f.fields)) if isinstance(f, Record) else _atom_key(f)
+        )
+    return _atom_key(p), None
 
 
 class Index:
     """Patterns filed by shape and first field, each under the holder filing it.
 
     A lookup returns candidates only: every pattern that can intersect the
-    query is among them, and the caller confirms each one.  A pattern is
-    kept as its holder filed it, so values that are equal but of different
-    types (1 and #t) share a bucket and are still confirmed as themselves.
+    query is among them, and the caller confirms each one.
     """
 
     def __init__(self):
-        self._slots: dict = {}  # slot -> bucket -> {(holder, pattern): same pair}
+        self._slots: dict = {}  # slot -> bucket -> {(holder, pattern)}
 
     def add(self, p, holder=None) -> None:
         slot, bucket = _slot_keys(p)
-        pair = (holder, p)
-        self._slots.setdefault(slot, {}).setdefault(bucket, {})[pair] = pair
+        self._slots.setdefault(slot, {}).setdefault(bucket, set()).add((holder, p))
 
-    def remove(self, p, holder=None):
-        """Unfile p for holder; returns the pattern as it was filed."""
+    def remove(self, p, holder=None) -> None:
         slot, bucket = _slot_keys(p)
         buckets = self._slots[slot]
         pairs = buckets[bucket]
-        _, filed = pairs.pop((holder, p))
+        pairs.remove((holder, p))
         if not pairs:
             del buckets[bucket]
             if not buckets:
                 del self._slots[slot]
-        return filed
 
     def clear(self) -> None:
         self._slots.clear()
@@ -208,23 +214,23 @@ def route(support: Index, interests: Index, holder, own: Patch, change: Patch) -
     for it.  A holder claims an assertion once for each of its interests that
     starts to intersect it and releases it once for each that stops, so its
     visible bag counts the interests intersecting each assertion.  Holders
-    come in sorted order; assertions are given as filed in support.
+    come in sorted order.
     """
     claims, releases = defaultdict(list), defaultdict(list)
     # the order of the four steps makes each (assertion, interest) pair that
     # appears or vanishes count exactly once
     for a in change.removed:  # lost support, against every interest held before
-        a = support.remove(a)  # as filed: the bag reports the releasing copy
+        support.remove(a)
         for h, _ in _intersecting(interests, a):
             releases[h].append(a)
-    for p in _observed(own.removed):  # dropped interests, against surviving support
-        p = interests.remove(p, holder)
+    for p in observed(own.removed):  # dropped interests, against surviving support
+        interests.remove(p, holder)
         releases[holder].extend(a for _, a in _intersecting(support, p))
     for a in change.added:  # new support, against the interests that stay
         support.add(a)
         for h, _ in _intersecting(interests, a):
             claims[h].append(a)
-    for p in _observed(own.added):  # new interests, against all support after
+    for p in observed(own.added):  # new interests, against all support after
         interests.add(p, holder)
         claims[holder].extend(a for _, a in _intersecting(support, p))
     return {h: (claims[h], releases[h]) for h in sorted(claims.keys() | releases.keys())}

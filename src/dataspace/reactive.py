@@ -139,7 +139,7 @@ class StateSpec:
 
 def _contains_reserved(p) -> bool:
     return isinstance(p, Record) and (
-        p.label == RESERVED_LABEL or any(_contains_reserved(f) for f in p.fields)
+        p.label is RESERVED_LABEL or any(_contains_reserved(f) for f in p.fields)
     )
 
 

@@ -4,12 +4,22 @@ Everything routed through a dataspace is a finite tree built from four atom
 kinds (symbol, string, integer, boolean) and labelled records.  Patterns
 extend values with a wildcard leaf; projections mark capture holes; surface
 patterns add named binders that compile down to the other two forms.
+
+Symbols, records, capture holes and binders are interned: each is built
+through a weak table keyed on its class and its parts, every part tagged
+with its type, so equal values are the same object.  Equality and hashing
+are identity, which makes them cheap and type-strict all the way down: the
+record ``(a 1)`` is not ``(a #t)``, as in canonical text.  Bare atoms are
+Python's own ``str``, ``int`` and ``bool``, so a bare ``1`` still equals
+``True``; the network therefore accepts only records and the wildcard as
+assertions.  A record caches its canonical sort key and JSON form.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import threading
+import weakref
 from typing import Any, Iterable
 
 __all__ = [
@@ -51,11 +61,95 @@ class DuplicateBinder(ValueError):
     """A surface pattern uses the same binder name more than once."""
 
 
-@dataclass(frozen=True)
-class Sym:
+# Sym, Record, Capture and Bind are built through one table of weakly held
+# instances.  An instance is filed under its class and its parts, each part
+# paired with its type, so 1 and #t never share a key; sub-values are
+# themselves interned and so are keyed by identity.  Equal values are
+# therefore one object, and equality and hashing are object identity.
+# Filing and unfiling take the lock, so that two threads building one value
+# get one object; a lookup does not.
+_TABLE: dict = {}
+_LOCK = threading.RLock()  # reentrant: a collection inside _file may run _unfile
+
+
+def _unfile(entry, table=_TABLE, lock=_LOCK) -> None:
+    # the instance died; a new one may already be filed under its key
+    with lock:
+        if table.get(entry.key) is entry:
+            del table[entry.key]
+
+
+class _Entry(weakref.ref):
+    """A weak reference to an interned instance, carrying its table key."""
+
+    __slots__ = ("key",)
+
+
+def _live(key):
+    """The live instance filed under key, or None."""
+    try:
+        entry = _TABLE.get(key)
+    except TypeError:  # an unhashable part is no value: nothing is shared
+        return None
+    return entry() if entry is not None else None
+
+
+def _file(obj, key):
+    """File a new instance under its key; returns the instance filed there."""
+    with _LOCK:
+        filed = _live(key)  # another thread may have filed it first
+        if filed is not None:
+            return filed
+        try:
+            entry = _TABLE[key] = _Entry(obj, _unfile)
+        except TypeError:
+            return obj
+        entry.key = key
+        return obj
+
+
+_set = object.__setattr__  # instances are immutable once built
+
+
+def _intern_one(cls, part):
+    """The one instance of a single-part class (Sym, Capture, Bind) with this part."""
+    key = (cls, part, type(part))
+    self = _live(key)
+    if self is None:
+        self = object.__new__(cls)
+        _set(self, cls.__slots__[0], part)
+        self = _file(self, key)
+    return self
+
+
+class _Interned:
+    """Immutable and shared: copies are the object itself."""
+
+    __slots__ = ("__weakref__",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+class Sym(_Interned):
     """Symbol atom, distinct from the string atom with the same spelling."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __new__(cls, name):
+        return _intern_one(cls, name)
+
+    def __reduce__(self):
+        return Sym, (self.name,)
 
     def __repr__(self) -> str:
         return f"'{self.name}"
@@ -79,32 +173,59 @@ class _Wildcard:
 WILDCARD = _Wildcard()
 
 
-@dataclass(frozen=True)
-class Record:
-    """Labelled record with an ordered field tuple."""
+class Record(_Interned):
+    """Labelled record with an ordered field tuple.
 
-    label: Sym
-    fields: tuple
+    Its canonical sort key and JSON form are computed once, on first use.
+    """
+
+    __slots__ = ("label", "fields", "_sort_key", "_json")
+
+    def __new__(cls, label, fields):
+        fields = tuple(fields)
+        key = (cls, label, fields, tuple(map(type, fields)))
+        self = _live(key)
+        if self is None:
+            self = object.__new__(cls)
+            _set(self, "label", label)
+            _set(self, "fields", fields)
+            _set(self, "_sort_key", None)
+            _set(self, "_json", None)
+            self = _file(self, key)
+        return self
+
+    def __reduce__(self):
+        return Record, (self.label, self.fields)
 
     def __repr__(self) -> str:
         return "(" + " ".join([self.label.name, *(repr(f) for f in self.fields)]) + ")"
 
 
-@dataclass(frozen=True)
-class Capture:
+class Capture(_Interned):
     """Projection hole; the subtree unified at this position is extracted."""
 
-    sub: Any = WILDCARD
+    __slots__ = ("sub",)
+
+    def __new__(cls, sub=WILDCARD):
+        return _intern_one(cls, sub)
+
+    def __reduce__(self):
+        return Capture, (self.sub,)
 
     def __repr__(self) -> str:
         return f"(?! {self.sub!r})"
 
 
-@dataclass(frozen=True)
-class Bind:
+class Bind(_Interned):
     """Named binder in a surface pattern."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __new__(cls, name):
+        return _intern_one(cls, name)
+
+    def __reduce__(self):
+        return Bind, (self.name,)
 
     def __repr__(self) -> str:
         return f"${self.name}"
@@ -148,26 +269,32 @@ def intersect(p, q):
     """Most specific pattern matched by exactly the values matching both.
 
     Returns None when no ground value matches both.  Wildcard is the
-    identity; records unify fieldwise when label and arity agree.
+    identity; records unify fieldwise when label and arity agree.  When
+    unification narrows neither operand, that operand is returned as it is
+    (a pattern against a value it matches gives the value), so a record is
+    built only when the result is new.
     """
+    if p is q or q is WILDCARD:
+        return p
     if p is WILDCARD:
         return q
-    if q is WILDCARD:
-        return p
     if isinstance(p, Record):
         if (
             not isinstance(q, Record)
-            or p.label != q.label
+            or p.label is not q.label
             or len(p.fields) != len(q.fields)
         ):
             return None
         out = []
+        as_p = as_q = True
         for a, b in zip(p.fields, q.fields):
             m = intersect(a, b)
             if m is None:
                 return None
+            as_p = as_p and m is a
+            as_q = as_q and m is b
             out.append(m)
-        return Record(p.label, tuple(out))
+        return q if as_q else p if as_p else Record(p.label, tuple(out))
     if isinstance(q, Record):
         return None
     return p if _same_atom(p, q) else None
@@ -175,12 +302,12 @@ def intersect(p, q):
 
 def matches(p, v) -> bool:
     """True iff ground value v is matched by pattern p."""
-    if p is WILDCARD:
+    if p is WILDCARD or p is v:
         return True
     if isinstance(p, Record):
         return (
             isinstance(v, Record)
-            and p.label == v.label
+            and p.label is v.label
             and len(p.fields) == len(v.fields)
             and all(matches(a, b) for a, b in zip(p.fields, v.fields))
         )
@@ -250,7 +377,19 @@ def compile_surface(sp):
 
 
 def to_jsonable(p):
-    """Canonical JSON-ready form: symbols quote-prefixed, records as arrays."""
+    """Canonical JSON-ready form: symbols quote-prefixed, records as arrays.
+
+    A record's form is computed once and shared by every later call, so it
+    must not be mutated.  A form that raises is never cached.
+    """
+    if isinstance(p, Record):
+        form = p._json
+        if form is None:
+            if p.label.name == "?!":
+                raise ValueError("record label '?!' collides with the capture marker")
+            form = [p.label.name, *(to_jsonable(f) for f in p.fields)]
+            _set(p, "_json", form)
+        return form
     if p is WILDCARD:
         return "_"
     if isinstance(p, bool):
@@ -265,14 +404,11 @@ def to_jsonable(p):
         return "'" + p.name
     if isinstance(p, Capture):
         return ["?!", to_jsonable(p.sub)]
-    if isinstance(p, Record):
-        if p.label.name == "?!":
-            raise ValueError("record label '?!' collides with the capture marker")
-        return [p.label.name, *(to_jsonable(f) for f in p.fields)]
     raise TypeError(f"not a pattern: {p!r}")
 
 
 def from_jsonable(x):
+    """The value or pattern a canonical JSON form stands for."""
     if isinstance(x, bool):
         return x
     if isinstance(x, int):
@@ -309,7 +445,17 @@ def canonical_decode(text: str):
 
 
 def canonical_key(p):
-    """Sort key giving the total canonical ordering: atoms before records."""
+    """Sort key giving the total canonical ordering: atoms before records.
+
+    A record's key is computed once, on first use.
+    """
+    if isinstance(p, Record):
+        key = p._sort_key
+        if key is None:
+            fields = tuple(canonical_key(f) for f in p.fields)
+            key = (6, p.label.name, len(p.fields), fields)
+            _set(p, "_sort_key", key)
+        return key
     if p is WILDCARD:
         return (0,)
     if isinstance(p, bool):
@@ -322,9 +468,6 @@ def canonical_key(p):
         return (4, p.name)
     if isinstance(p, Capture):
         return (5, canonical_key(p.sub))
-    if isinstance(p, Record):
-        fields = tuple(canonical_key(f) for f in p.fields)
-        return (6, p.label.name, len(p.fields), fields)
     raise TypeError(f"not a pattern: {p!r}")
 
 

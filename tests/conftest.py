@@ -14,15 +14,17 @@ settings.load_profile("deterministic")
 
 
 ATOM_VOCAB = (0, 1, 2, "a", "b", Sym("x"), Sym("y"))
+# atoms that plain Python equality confuses: 1 and #t, 0 and #f, "x" and 'x
+TYPED_ATOM_VOCAB = (0, 1, False, True, "x", "1", Sym("x"), Sym("1"))
 LABEL_VOCAB = ("f", "g", "observe")
 
 
-def atom_strategy():
-    return st.sampled_from(ATOM_VOCAB)
+def atom_strategy(atoms=ATOM_VOCAB):
+    return st.sampled_from(atoms)
 
 
-def pattern_strategy(allow_wildcard=True, max_leaves=8):
-    leaves = atom_strategy()
+def pattern_strategy(allow_wildcard=True, max_leaves=8, atoms=ATOM_VOCAB):
+    leaves = atom_strategy(atoms)
     if allow_wildcard:
         leaves = leaves | st.just(WILDCARD)
     return st.recursive(
@@ -36,8 +38,8 @@ def pattern_strategy(allow_wildcard=True, max_leaves=8):
     )
 
 
-def value_strategy(max_leaves=8):
-    return pattern_strategy(allow_wildcard=False, max_leaves=max_leaves)
+def value_strategy(max_leaves=8, atoms=ATOM_VOCAB):
+    return pattern_strategy(allow_wildcard=False, max_leaves=max_leaves, atoms=atoms)
 
 
 def ground_universe(atoms=("novel.txt", "x", 0, Sym("s")), labels=("file", "observe")):

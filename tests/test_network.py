@@ -20,6 +20,7 @@ from dataspace import (
     PatchAction,
     PatchEvent,
     QUIT,
+    Record,
     SpawnAction,
     Sym,
     VisibilityMismatch,
@@ -44,6 +45,16 @@ def deposit(x):
 
 def idle(event, state):
     return None
+
+
+def recorder(log):
+    """A behaviour that appends every event it receives to log."""
+
+    def step(event, state):
+        log.append(event)
+        return None
+
+    return step
 
 
 def test_new_network_is_empty():
@@ -346,6 +357,24 @@ def test_non_value_startup_assertion_crashes_new_actor(bad, detail):
 
 
 @pytest.mark.parametrize(
+    "atom", [Sym("s"), "s", 1, True], ids=["symbol", "string", "integer", "boolean"]
+)
+def test_asserting_a_bare_atom_crashes_the_actor(atom):
+    # a set of bare atoms would merge 1 and #t, so only records and the
+    # wildcard are assertions; the rest of the patch is rejected with it
+    net = new_network()
+    seen = []
+    net.spawn(recorder(seen), None, [PatchAction(Patch({observe(atom), observe(rec("ok", 1))}, ()))])
+    aid = net.spawn(
+        idle, None, [PatchAction(Patch({rec("ok", 1)}, ())), PatchAction(Patch({atom}, ()))]
+    )
+    net.run_until_quiescent(10)
+    assert_crashed_cleanly(net, aid, f"TypeError: bare atom asserted: {atom!r}")
+    assert seen == [PatchEvent(Patch({rec("ok", 1)}, ())), PatchEvent(Patch((), {rec("ok", 1)}))]
+    assert dict(net.aggregate) == {observe(atom): 1, observe(rec("ok", 1)): 1}
+
+
+@pytest.mark.parametrize(
     "shown",
     [Capture(), WILDCARD, rec("x", WILDCARD), 1.5],
     ids=["capture", "wildcard", "record-with-wildcard", "float"],
@@ -468,19 +497,40 @@ def test_terminate_nested_network_drops_descendants():
     assert events == []  # the network actor asserted nothing upward
 
 
-def test_colliding_values_route_through_the_index():
-    # 1 and #t are one value to the aggregate bag but not to intersect: the
-    # bag reports B's (a #t) as lost, while the support holds A's (a 1),
-    # which C's interest in (a #t) never matched
+def test_one_and_true_are_distinct_assertions():
+    # A asserts (a 1), B asserts (a #t), C observes (a #t): C sees B's
+    # record, and the aggregate holds both, once each
     net = new_network()
+    seen = []
+    net.spawn(idle, None, [PatchAction(Patch({rec("a", 1)}, ()))])
+    net.spawn(idle, None, [PatchAction(Patch({rec("a", True)}, ()))])
+    net.spawn(recorder(seen), None, [PatchAction(Patch({observe(rec("a", True))}, ()))])
+    net.run_until_quiescent(10, after_step=net.check_visibility)
+    assert seen == [PatchEvent(Patch({rec("a", True)}, ()))]
+    assert dict(net.aggregate) == {
+        rec("a", 1): 1,
+        rec("a", True): 1,
+        observe(rec("a", True)): 1,
+    }
+
+
+def test_colliding_values_route_through_the_index():
+    # (a 1) and (a #t) share an index bucket but are two assertions: C, who
+    # observes (a #t), sees B's record come and go and never A's
+    net = new_network()
+    seen = []
     a = net.spawn(idle, None, [PatchAction(Patch({rec("a", 1)}, ()))])
     b = net.spawn(idle, None, [PatchAction(Patch({rec("a", True)}, ()))])
-    net.spawn(idle, None, [PatchAction(Patch({observe(rec("a", True))}, ()))])
+    net.spawn(recorder(seen), None, [PatchAction(Patch({observe(rec("a", True))}, ()))])
     net.run_until_quiescent(10, after_step=net.check_visibility)
     net.interpret_action(a, PatchAction(Patch((), {rec("a", 1)})))
     net.interpret_action(b, PatchAction(Patch((), {rec("a", True)})))
     net.run_until_quiescent(10, after_step=net.check_visibility)
     assert not [e for e in net.trace.entries if e["kind"] == "crash"]
+    assert seen == [
+        PatchEvent(Patch({rec("a", True)}, ())),
+        PatchEvent(Patch((), {rec("a", True)})),
+    ]
     assert dict(net.aggregate) == {observe(rec("a", True)): 1}
 
 
@@ -498,8 +548,9 @@ def test_equal_interests_of_different_types_are_confirmed_per_holder():
     assert list(net.queue) == [(d, MessageEvent(rec("a", 1)))]
 
 
-# what the random programs assert, observe and send: every kind of slot and
-# bucket the routing index files a pattern under, and 1 beside #t
+# what the random programs observe and send: every kind of slot and bucket
+# the routing index files a pattern under, and 1 beside #t; bare atoms are
+# observed and sent but not asserted, since asserting one crashes the actor
 ROUTED = (
     WILDCARD, 0, 1, True, "s", Sym("s"),
     rec("z"), rec("a", 1), rec("a", True), rec("a", WILDCARD), rec("a", rec("z")),
@@ -507,6 +558,7 @@ ROUTED = (
     observe(rec("a", WILDCARD)),
 )  # fmt: skip
 INTERESTS = tuple(observe(p) for p in ROUTED) + (observe(observe(WILDCARD)),)
+ASSERTED = tuple(v for v in ROUTED if v is WILDCARD or isinstance(v, Record)) + INTERESTS
 GROUND = tuple(v for v in ROUTED if is_ground(v))
 
 
@@ -514,7 +566,7 @@ def random_action(rng, budget=0):
     """A patch, message, quit or spawn drawn from the routed pool."""
     roll = rng.random()
     if roll < 0.6:
-        pool = ROUTED + INTERESTS
+        pool = ASSERTED
         added = set(rng.sample(pool, rng.randint(0, 4)))
         return PatchAction(Patch(added, set(rng.sample(pool, rng.randint(0, 4))) - added))
     if roll < 0.85:

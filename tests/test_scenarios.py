@@ -211,6 +211,39 @@ def test_every_scenario_is_quiescent_and_deterministic():
         assert [e["seq"] for e in entries(first)] == list(range(len(first)))
 
 
+def test_every_scenario_replays_byte_identically_after_allocation_churn():
+    # values hash by identity, so a set of them iterates in address order;
+    # a second run after the heap has moved must still write the same trace
+    for name in SCENARIOS:
+        _, first = run_scenario(name)
+        ballast = [rec("churn", i, Sym(f"s{i}")) for i in range(4000)][::3]
+        _, second = run_scenario(name)
+        assert first == second, name
+        del ballast
+
+
+def test_aggregate_snapshots_keep_one_and_true_apart():
+    def patch_out(seq, added, removed):
+        data = {"added": added, "removed": removed}
+        return json.dumps({"seq": seq, "actor": "g/0", "kind": "patch-out", "data": data})
+
+    trace = [
+        patch_out(0, [["a", 1]], []),
+        patch_out(1, [["a", True]], []),
+        patch_out(2, [], [["a", 1]]),
+    ]
+    assert aggregate_snapshots(trace, rec("a", WILDCARD)) == [
+        frozenset(),
+        frozenset({rec("a", 1)}),
+        frozenset({rec("a", 1), rec("a", True)}),
+        frozenset({rec("a", True)}),
+    ]
+    assert aggregate_snapshots(trace, rec("a", True)) == [
+        frozenset(),
+        frozenset({rec("a", True)}),
+    ]
+
+
 def test_every_scenario_passes_the_visibility_oracle():
     for name in SCENARIOS:
         run_scenario(name, oracle=True)

@@ -1,7 +1,16 @@
+import copy
+import gc
+import pickle
+import sys
+import threading
+from collections import Counter
+
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
 from conftest import (
+    TYPED_ATOM_VOCAB,
     brute_force_project,
     ground_universe,
     match_set,
@@ -9,11 +18,13 @@ from conftest import (
     value_strategy,
 )
 from dataspace import (
+    Bag,
     Bind,
     Capture,
     CaptureUnbounded,
     DuplicateBinder,
     MalformedText,
+    Record,
     Sym,
     WILDCARD,
     canonical_decode,
@@ -28,6 +39,8 @@ from dataspace import (
     project_assertions,
     rec,
 )
+from dataspace import values
+from dataspace.values import from_jsonable, to_jsonable
 
 
 def account(x):
@@ -79,6 +92,114 @@ def test_bool_and_int_atoms_are_distinct():
     assert not matches(0, False)
     assert matches(False, False)
     assert canonical_key(0) != canonical_key(False)
+
+
+# -- interning ---------------------------------------------------------------------
+
+
+def test_equal_values_are_one_object():
+    assert rec("a", 1, Sym("s")) is rec("a", 1, Sym("s"))
+    assert Sym("s") is Sym("s")
+    assert Capture() is Capture(WILDCARD)
+    assert Bind("x") is Bind("x")
+    assert observe(rec("a", "x")) is from_jsonable(["observe", ["a", "x"]])
+
+
+def test_interning_is_type_strict():
+    assert rec("a", 1) != rec("a", True)
+    assert rec("a", 0) != rec("a", False)
+    assert rec("a", "x") != rec("a", Sym("x"))
+    assert Capture(1) != Capture(True)
+    assert rec("f", Capture(1)) != rec("f", Capture(True))
+    assert len({rec("a", 1), rec("a", True), rec("a", 1)}) == 2
+
+
+def test_values_are_immutable():
+    r = rec("a", 1)
+    with pytest.raises(AttributeError):
+        r.fields = (2,)
+    with pytest.raises(AttributeError):
+        Sym("s").name = "t"
+    with pytest.raises(AttributeError):
+        del r.label
+    assert r is rec("a", 1)
+
+
+def test_dead_values_leave_the_table():
+    gc.collect()
+    before = len(values._TABLE)
+    for i in range(1000):
+        rec("transient", i, rec("inner", i))
+    gc.collect()
+    assert len(values._TABLE) == before
+
+
+def test_threads_building_the_same_values_get_one_object():
+    # a value filed twice would be two objects that are not equal
+    def build(out):
+        out.extend(rec("race", i, Sym(f"s{i % 7}")) for i in range(3000))
+
+    results = [[] for _ in range(6)]
+    threads = [threading.Thread(target=build, args=(out,)) for out in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(out) == 3000 for out in results)
+    for out in results[1:]:
+        assert all(a is b for a, b in zip(results[0], out))
+
+
+def test_a_record_with_an_unhashable_field_is_built_unshared():
+    # not a value, so nothing to share; is_ground rejects it as before
+    r = rec("a", [1])
+    assert r.fields == ([1],) and r is not rec("a", [1])
+    assert not is_ground(r)
+
+
+TYPED_VALUES = value_strategy(atoms=TYPED_ATOM_VOCAB)
+TYPED_PATTERNS = pattern_strategy(atoms=TYPED_ATOM_VOCAB)
+# what a dataspace holds: records over atoms that plain equality confuses
+TYPED_RECORDS = st.lists(TYPED_PATTERNS, max_size=3).map(lambda fields: rec("r", *fields))
+
+
+@given(TYPED_RECORDS, TYPED_RECORDS)
+def test_equal_canonical_text_iff_same_object(v, w):
+    assert (canonical_encode(v) == canonical_encode(w)) == (v is w)
+    assert (v == w) == (v is w)
+
+
+@given(TYPED_PATTERNS)
+def test_canonical_form_and_copies_give_back_the_same_object(v):
+    assert from_jsonable(to_jsonable(v)) is v
+    assert copy.copy(v) is v
+    assert copy.deepcopy(v) is v
+    if isinstance(v, Record):
+        assert canonical_decode(canonical_encode(v)) is v
+        assert pickle.loads(pickle.dumps(v)) is v
+
+
+@given(st.lists(TYPED_RECORDS, max_size=8))
+def test_distinct_canonical_texts_are_distinct_members_and_bag_keys(vs):
+    texts = Counter(canonical_encode(v) for v in vs)
+    assert len(frozenset(vs)) == len(texts)
+    bag = Bag()
+    bag.change(vs)
+    assert Counter({canonical_encode(k): n for k, n in bag.items()}) == texts
+
+
+@given(TYPED_PATTERNS, TYPED_VALUES)
+def test_intersect_gives_back_a_value_its_pattern_matches(p, v):
+    # unification that narrows nothing builds nothing
+    if matches(p, v):
+        assert intersect(p, v) is v
+        assert intersect(v, p) is v
 
 
 @given(pattern_strategy(), pattern_strategy())
@@ -272,8 +393,11 @@ def test_canonical_encode_rejects_colliding_strings():
         canonical_encode("_")
     with pytest.raises(ValueError):
         canonical_encode("'quoted")
-    with pytest.raises(ValueError):
-        canonical_encode(rec("?!", 1))
+    # a record's form is cached, but a form that raises is not
+    for bad in (rec("?!", 1), rec("f", "'quoted")):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                canonical_encode(bad)
 
 
 @given(pattern_strategy())
