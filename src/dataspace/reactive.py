@@ -5,9 +5,12 @@ blocks the script until one of the state's termination clauses fires.  Every
 state runs its facets in a fresh actor: the parent installs an internal
 watcher for a reserved completion assertion, the fresh actor hosts the
 facets, and the termination clause's result values travel back through the
-dataspace.  Facets of one actor claim their assertions in one shared bag
-(:class:`patches.Bag`), the actor's mux: only an assertion's first claim and
-last release reach the network, so overlapping facets never interfere.
+dataspace.  A reactive actor therefore holds one state at a time: a script's
+watcher or a hosted state.  The facets of that state claim their assertions
+in one bag (:class:`patches.Bag`), the mux: only an assertion's first claim
+and last release reach the network, so facets that claim the same assertion
+never interfere.  Each triggering value is matched against a clause once;
+the body's bindings are the captures of that unified value.
 """
 
 from __future__ import annotations
@@ -31,12 +34,12 @@ from .values import (
     Bind,
     Record,
     Sym,
+    captures,
     compile_surface,
     intersect,
     is_ground,
     matches,
     observe,
-    project_assertions,
     rec,
     sort_patterns,
 )
@@ -217,10 +220,9 @@ def forever(*, collect=(), facets=()) -> StateSpec:
 
 
 class _Group:
-    """One installed state: collected values, facets, and mux contributions."""
+    """The installed state: collected values, facets, and mux contributions."""
 
-    def __init__(self, gid: int, spec: StateSpec, on_complete: Callable):
-        self.gid = gid
+    def __init__(self, spec: StateSpec, on_complete: Callable):
         self.spec = spec
         self.collected = tuple(init for _, init in spec.collect)
         self.on_complete = on_complete
@@ -259,15 +261,14 @@ class ActorContext:
 
 
 class ReactiveState:
-    """Private state of a reactive actor: its script and installed groups."""
+    """Private state of a reactive actor: its script and its one installed state."""
 
     def __init__(self, script, *, _initial=None):
         self._script_fn = script
         self._initial = _initial  # (spec, handshake id | None) for state hosts
         self._gen = None
-        self._groups: dict[int, _Group] = {}
+        self._group: Optional[_Group] = None
         self._mux = Bag()
-        self._next_gid = 0
         self._pending: Optional[list] = None
         self._fresh_sid: Optional[Callable] = None
         self.ctx = ActorContext(self)
@@ -308,7 +309,7 @@ class ReactiveState:
                 self._gen = out
                 self._advance(None)
                 return
-        self._finish_script()
+        self._buffer(QUIT)
 
     # -- script execution -------------------------------------------------------
 
@@ -317,15 +318,11 @@ class ReactiveState:
             spec = self._gen.send(send_value)
         except StopIteration:
             self._gen = None
-            self._finish_script()
+            self._buffer(QUIT)
             return
         if not isinstance(spec, StateSpec):
             raise TypeError(f"script yielded {spec!r}; expected a state spec")
         self._enter_state(spec)
-
-    def _finish_script(self) -> None:
-        if not self._groups:
-            self._buffer(QUIT)
 
     def _enter_state(self, spec: StateSpec) -> None:
         sid = self._fresh_sid()
@@ -353,49 +350,34 @@ class ReactiveState:
             self._buffer(PatchAction(Patch({result}, ())))
         self._buffer(QUIT)
 
-    # -- group lifecycle ----------------------------------------------------------
+    # -- state lifecycle ----------------------------------------------------------
 
-    def install_group(self, spec: StateSpec, on_complete: Optional[Callable] = None) -> int:
-        """Install a state group; a rising edge already true at install fires."""
-        gid = self._next_gid
-        self._next_gid += 1
-        group = _Group(gid, spec, on_complete or (lambda raw: None))
+    def install_group(self, spec: StateSpec, on_complete: Callable) -> None:
+        """Install the actor's state; a rising edge already true at install fires."""
+        if self._group is not None:
+            raise RuntimeError("a reactive actor holds one state at a time")
+        group = self._group = _Group(spec, on_complete)
         self._change_mux((*group.subscriptions, *group.assert_current))
-        self._groups[gid] = group
         self._check_stop(group, None)
-        return gid
 
-    def teardown_group(self, gid: int) -> None:
-        """Release the group's mux claims, retracting what nobody else holds."""
-        group = self._groups.pop(gid)
+    def teardown_group(self) -> None:
+        """Release the state's mux claims, retracting what nobody else holds."""
+        group, self._group = self._group, None
         self._change_mux((), (*group.subscriptions, *group.assert_current))
 
     # -- event handling ------------------------------------------------------------
 
     def _deliver(self, event) -> None:
-        for group in list(self._groups.values()):
-            self._group_handle(group, event)
-
-    def _group_handle(self, group: _Group, event) -> None:
+        group = self._group
         # 1. facet bodies fold the collected tuple
         for c in group.spec.ons:
-            for value in _triggers(c, event):
-                self._run_body(group, c, value)
+            for unified in _triggers(c, event):
+                result = c.body(self.ctx, *group.collected, *captures(c.extraction, unified))
+                group.collected = self._fold(group, result)
         # 2. assert facets re-evaluate against the new collected tuple
         self._refresh_asserts(group)
         # 3. termination clauses, declaration order, first satisfied fires
         self._check_stop(group, event)
-
-    def _run_body(self, group: _Group, c: _Clause, value) -> None:
-        bindings = self._extract(c, value)
-        result = c.body(self.ctx, *group.collected, *bindings)
-        group.collected = self._fold(group, result)
-
-    def _extract(self, c, value) -> tuple:
-        if not c.names:
-            return ()
-        tuples = project_assertions((value,), c.extraction)
-        return next(iter(tuples))
 
     def _fold(self, group: _Group, result) -> tuple:
         n = len(group.spec.collect)
@@ -427,25 +409,27 @@ class ReactiveState:
             else:
                 hits = _triggers(w, event)
                 if hits:
-                    self._fire(group, w, self._extract(w, hits[0]))
+                    self._fire(group, w, captures(w.extraction, hits[0]))
                     return
 
     def _fire(self, group: _Group, w: _Clause, bindings: tuple) -> None:
         raw = w.body(self.ctx, *group.collected, *bindings) if w.body else None
-        self.teardown_group(group.gid)
+        self.teardown_group()
         group.on_complete(raw)
 
 
 def _triggers(c: _Clause, event) -> list:
-    """The values in this event that trigger clause c, in canonical order."""
+    """Each value in this event that triggers clause c, unified with its
+    subscription, in the canonical order of the values."""
     if c.kind == "message":
         if isinstance(event, MessageEvent) and matches(c.subscription, event.body):
-            return [event.body]
+            return [event.body]  # ground, so it is its own unification
         return []
     if c.kind == "rising-edge" or not isinstance(event, PatchEvent):
         return []
     pool = event.patch.added if c.kind == "asserted" else event.patch.removed
-    return sort_patterns([a for a in pool if intersect(c.subscription, a) is not None])
+    hits = {a: u for a in pool if (u := intersect(c.subscription, a)) is not None}
+    return [hits[a] for a in sort_patterns(hits)]
 
 
 def _pack_values(raw) -> Record:

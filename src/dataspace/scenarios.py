@@ -43,7 +43,6 @@ from .values import (
     Capture,
     Sym,
     WILDCARD,
-    canonical_key,
     intersect,
     matches,
     observe,
@@ -95,7 +94,7 @@ def build_bank_account_plain(net: Network) -> None:
         if isinstance(event, PatchEvent):
             balances = project_assertions(event.patch.added, rec("account", Capture()))
             if balances:
-                outs = [OutputAction(b) for (b,) in sorted(balances)]
+                outs = [OutputAction(b) for (b,) in balances]
                 return Continue(nothing, outs)
         return None
 
@@ -283,12 +282,10 @@ def _spawn_file_observation(name, content):
     def observation(event, content):
         if isinstance(event, MessageEvent):
             if matches(save_pat, event.body):
-                new = event.body.fields[0].fields[1]
-                if new == content:
+                new, old = event.body.fields[0], _file(name, content)
+                if new is old:  # interned: a save of 0 over #f is a change
                     return None
-                return Continue(
-                    new, [PatchAction(Patch({_file(name, new)}, {_file(name, content)}))]
-                )
+                return Continue(new.fields[1], [PatchAction(Patch({new}, {old}))])
             if matches(delete_pat, event.body):
                 if content is False:
                     return None
@@ -297,7 +294,7 @@ def _spawn_file_observation(name, content):
                     [PatchAction(Patch({_file(name, False)}, {_file(name, content)}))],
                 )
             return None
-        if any(a == watched for a in event.patch.removed):
+        if watched in event.patch.removed:
             return Continue(content, [QUIT])
         return None
 
@@ -326,8 +323,7 @@ def build_file_system_plain(net: Network) -> None:
         if not names:
             return None
         spawns = [
-            _spawn_file_observation(name, files.get(name, False))
-            for (name,) in sorted(names)
+            _spawn_file_observation(name, files.get(name, False)) for (name,) in names
         ]
         return Continue(files, spawns)
 
@@ -352,8 +348,7 @@ def build_file_system_plain(net: Network) -> None:
         if isinstance(event, PatchEvent):
             texts = project_assertions(event.patch.added, _file(NOVEL, Capture()))
             if texts:
-                ordered = sorted(texts, key=lambda t: canonical_key(t[0]))
-                outs = [OutputAction(t) for (t,) in ordered]
+                outs = [OutputAction(t) for (t,) in texts]
                 seen += len(texts)
                 return Continue(seen, outs + ([QUIT] if seen >= 2 else []))
         return None

@@ -34,6 +34,7 @@ __all__ = [
     "canonical_decode",
     "canonical_encode",
     "canonical_key",
+    "captures",
     "compile_surface",
     "erase",
     "from_jsonable",
@@ -323,32 +324,38 @@ def erase(proj):
     return proj
 
 
-def _walk_captures(proj, unified, out: list) -> None:
+def captures(proj, unified) -> tuple:
+    """The values under proj's capture holes in unified, left to right.
+
+    unified is a value that proj's erasure matched, narrowed by it (their
+    intersection).  Raises CaptureUnbounded when a capture hole holds a
+    wildcard.
+    """
     if isinstance(proj, Capture):
         if not is_ground(unified):
             raise CaptureUnbounded(f"wildcard under capture hole: {unified!r}")
-        out.append(unified)
-    elif isinstance(proj, Record):
-        for pf, uf in zip(proj.fields, unified.fields):
-            _walk_captures(pf, uf, out)
+        return (unified,)
+    if isinstance(proj, Record):
+        return tuple(c for pf, uf in zip(proj.fields, unified.fields) for c in captures(pf, uf))
+    return ()
 
 
-def project_assertions(assertions: Iterable, proj) -> set:
-    """Extract capture tuples from every assertion matching the projection.
+def project_assertions(assertions: Iterable, proj) -> list:
+    """The distinct capture tuples of the assertions matching the projection.
 
-    Raises CaptureUnbounded when a matching assertion carries a wildcard
-    inside a capture position; the caller decides policy.
+    Tuples are distinct by canonical text, so ``(0,)`` and ``(#f,)`` are two,
+    and come in canonical order.  Raises CaptureUnbounded when a matching
+    assertion carries a wildcard inside a capture position; the caller
+    decides policy.
     """
     stripped = erase(proj)
-    out = set()
+    out = {}
     for a in assertions:
         unified = intersect(stripped, a)
-        if unified is None:
-            continue
-        caps: list = []
-        _walk_captures(proj, unified, caps)
-        out.add(tuple(caps))
-    return out
+        if unified is not None:
+            caps = captures(proj, unified)
+            out.setdefault(tuple(map(canonical_key, caps)), caps)
+    return [out[k] for k in sorted(out)]
 
 
 def compile_surface(sp):

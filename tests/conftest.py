@@ -7,7 +7,17 @@ import itertools
 import hypothesis.strategies as st
 from hypothesis import settings
 
-from dataspace import Capture, Record, Sym, WILDCARD, erase, matches, rec
+from dataspace import (
+    Capture,
+    Record,
+    Sym,
+    WILDCARD,
+    canonical_encode,
+    canonical_key,
+    erase,
+    matches,
+    rec,
+)
 
 settings.register_profile("deterministic", derandomize=True, max_examples=150)
 settings.load_profile("deterministic")
@@ -77,11 +87,13 @@ def subtree_at(value, path):
 
 
 def brute_force_project(assertions, proj):
-    """Filter-and-extract oracle for projections over ground assertion sets."""
+    """Filter-and-extract oracle for projections over ground assertions: the
+    capture tuples, distinct by canonical text, in canonical order."""
     paths = capture_paths(proj)
     stripped = erase(proj)
-    out = set()
+    out = {}
     for a in assertions:
         if matches(stripped, a):
-            out.add(tuple(subtree_at(a, p) for p in paths))
-    return out
+            caps = tuple(subtree_at(a, p) for p in paths)
+            out[tuple(map(canonical_encode, caps))] = caps
+    return sorted(out.values(), key=lambda caps: tuple(map(canonical_key, caps)))

@@ -6,6 +6,7 @@ import time
 
 from dataspace import (
     EMPTY_PATCH,
+    MessageEvent,
     Patch,
     PatchAction,
     SCENARIOS,
@@ -25,7 +26,7 @@ from dataspace import (
     visible,
 )
 from dataspace.cli import main as cli_main
-from dataspace.reactive import ReactiveState, Assert, forever
+from dataspace.reactive import Assert, Message, On, ReactiveState, forever
 
 
 def _report(n, text):
@@ -194,20 +195,29 @@ def test_criterion_7_mux_non_interference():
     shapes = [
         rec("shared", i) for i in range(4)
     ] + [observe(rec("shared", WILDCARD)), rec("deep", rec("er", 1))]
+    move = Sym("move")
     for _ in range(200):
         shared = rng.choice(shapes)
+        # two facets of one state claim the shared assertion; one moves off it
+        # on a message, and the order the facets are declared in is random
+        facets = [
+            Assert(lambda n, a=shared: a),
+            Assert(lambda n, a=shared: a if n == 0 else rec("moved", n)),
+        ]
+        rng.shuffle(facets)
         rt = ReactiveState(None)
-        spec = forever(facets=[Assert(lambda a=shared: a)])
-        gids = []
-        first = rt.collect_actions(lambda: gids.append(rt.install_group(spec)))
-        second = rt.collect_actions(lambda: gids.append(rt.install_group(spec)))
-        assert first == [PatchAction(Patch({shared}, ()))]
-        assert second == []
-        order = [0, 1] if rng.random() < 0.5 else [1, 0]
-        down_first = rt.collect_actions(lambda: rt.teardown_group(gids[order[0]]))
-        assert down_first == [], "tearing one facet down must not retract"
-        down_second = rt.collect_actions(lambda: rt.teardown_group(gids[order[1]]))
-        assert down_second == [PatchAction(Patch((), {shared}))]
+        spec = forever(
+            collect=[("n", 0)],
+            facets=[*facets, On(Message(move), lambda ctx, n: n + 1)],
+        )
+        up = rt.collect_actions(lambda: rt.install_group(spec, lambda raw: None))
+        assert up == [PatchAction(Patch({shared, observe(move)}, ()))]
+        moved = rt.collect_actions(lambda: rt._deliver(MessageEvent(move)))
+        assert moved == [PatchAction(Patch({rec("moved", 1)}, ()))], (
+            "a facet moving off must not retract what another facet claims"
+        )
+        down = rt.collect_actions(rt.teardown_group)
+        assert down == [PatchAction(Patch((), {shared, rec("moved", 1), observe(move)}))]
     _report(7, "200 cases: overlapping facet assertions retract only at the last release")
 
 

@@ -7,6 +7,7 @@ from dataspace import (
     Capture,
     Message,
     MessageAction,
+    MessageEvent,
     On,
     Patch,
     PatchAction,
@@ -145,40 +146,60 @@ def test_state_returns_multiple_values():
 
 
 def test_mux_two_facets_same_assertion_do_not_interfere():
-    # the shared claim is retracted only when the last holder lets go
+    # two facets of one state claim one assertion: the first claim asserts
+    # it, and it is retracted only when the last holder lets go
     shared = rec("shared", 1)
+    move = Sym("move")
     rt = ReactiveState(None)
-    gids = []
-    spec = forever(facets=[Assert(lambda: shared)])
-    first = rt.collect_actions(lambda: gids.append(rt.install_group(spec)))
-    second = rt.collect_actions(lambda: gids.append(rt.install_group(spec)))
-    assert first == [PatchAction(Patch({shared}, ()))]
-    assert second == []  # claim count 1 -> 2: nothing new asserted
-    down_one = rt.collect_actions(lambda: rt.teardown_group(gids[0]))
-    assert down_one == []  # still claimed by the other facet
-    down_two = rt.collect_actions(lambda: rt.teardown_group(gids[1]))
-    assert down_two == [PatchAction(Patch((), {shared}))]
+    spec = forever(
+        collect=[("n", 0)],
+        facets=[
+            Assert(lambda n: shared),
+            Assert(lambda n: shared if n == 0 else rec("moved", n)),
+            On(Message(move), lambda ctx, n: n + 1),
+        ],
+    )
+    installed = rt.collect_actions(lambda: rt.install_group(spec, lambda raw: None))
+    assert installed == [PatchAction(Patch({shared, observe(move)}, ()))]
+    moved = rt.collect_actions(lambda: rt._deliver(MessageEvent(move)))
+    assert moved == [PatchAction(Patch({rec("moved", 1)}, ()))]  # shared still claimed
+    down = rt.collect_actions(rt.teardown_group)
+    assert down == [PatchAction(Patch((), {shared, rec("moved", 1), observe(move)}))]
 
 
 def test_teardown_of_facetless_group_emits_no_patch():
     rt = ReactiveState(None)
     spec = state(collect=[("n", 0)], stop=[When(RisingEdge(lambda n: n > 0))])
-    gids = []
-    assert rt.collect_actions(lambda: gids.append(rt.install_group(spec))) == []
-    assert rt.collect_actions(lambda: rt.teardown_group(gids[0])) == []
+    assert rt.collect_actions(lambda: rt.install_group(spec, lambda raw: None)) == []
+    assert rt.collect_actions(rt.teardown_group) == []
+
+
+def test_a_second_state_is_refused():
+    rt = ReactiveState(None)
+    spec = forever(facets=[Assert(lambda: rec("held"))])
+    rt.collect_actions(lambda: rt.install_group(spec, lambda raw: None))
+    with pytest.raises(RuntimeError, match="one state"):
+        rt.collect_actions(lambda: rt.install_group(spec, lambda raw: None))
 
 
 def test_mux_subscription_overlaps_assert_facet():
-    watched = observe(Sym("ping"))
+    # an Assert facet claims the observe assertion an On facet subscribes with
+    ping = Sym("ping")
+    watched = observe(ping)
     rt = ReactiveState(None)
-    gids = []
-    listener = forever(facets=[On(Message(Sym("ping")), lambda ctx: None)])
-    claimer = forever(facets=[Assert(lambda: watched)])
-    rt.collect_actions(lambda: gids.append(rt.install_group(listener)))
-    rt.collect_actions(lambda: gids.append(rt.install_group(claimer)))
-    assert rt.collect_actions(lambda: rt.teardown_group(gids[0])) == []
-    assert rt.collect_actions(lambda: rt.teardown_group(gids[1])) == [
-        PatchAction(Patch((), {watched}))
+    spec = forever(
+        collect=[("n", 0)],
+        facets=[
+            On(Message(ping), lambda ctx, n: n + 1),
+            Assert(lambda n: watched if n == 0 else rec("pinged", n)),
+        ],
+    )
+    installed = rt.collect_actions(lambda: rt.install_group(spec, lambda raw: None))
+    assert installed == [PatchAction(Patch({watched}, ()))]
+    moved = rt.collect_actions(lambda: rt._deliver(MessageEvent(ping)))
+    assert moved == [PatchAction(Patch({rec("pinged", 1)}, ()))]  # still subscribed
+    assert rt.collect_actions(rt.teardown_group) == [
+        PatchAction(Patch((), {watched, rec("pinged", 1)}))
     ]
 
 
@@ -242,6 +263,22 @@ def test_asserted_facet_runs_once_per_matching_assertion():
     net.interpret_action(asserter, PatchAction(Patch(batch, ())))
     net.run_until_quiescent(30)
     assert rec("count", 3) in net.aggregate
+
+
+def test_asserted_facet_runs_in_canonical_order_within_one_patch():
+    # one patch adds ten matching assertions; the bodies run in the values'
+    # canonical order, not in the patch set's order, which follows addresses
+    net = new_network()
+
+    def script(ctx):
+        yield forever(facets=[On(Asserted(rec("item", Bind("n"))), lambda ctx, n: ctx.display(n))])
+
+    reactive_actor(net, script)
+    net.run_until_quiescent(20)
+    batch = {rec("item", k) for k in range(10)}
+    net.spawn(lambda e, s: None, None, [PatchAction(Patch(batch, ()))])
+    net.run_until_quiescent(40)
+    assert displays(net) == list(range(10))
 
 
 def test_retracted_facet_runs_per_removed_assertion():

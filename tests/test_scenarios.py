@@ -17,7 +17,7 @@ from dataspace import (
     run_scenario,
     traces_equivalent,
 )
-from dataspace.scenarios import MAX_STEPS
+from dataspace.scenarios import MAX_STEPS, build_bank_account_plain
 
 
 def entries(lines):
@@ -58,6 +58,22 @@ def test_bank_account_balance_trajectory(name):
 def test_bank_account_observer_prints_each_balance(name):
     _, lines = run_scenario(name)
     assert displays(lines) == [0, 100, 70]
+
+
+@pytest.mark.parametrize(
+    "balances, shown", [((0, False), ["false", "0"]), ((1, "x"), ["1", '"x"'])]
+)
+def test_plain_observer_shows_distinct_balances_in_canonical_order(balances, shown):
+    # one patch adds two balances that Python equates or cannot order
+    net = new_network()
+    build_bank_account_plain(net)
+    net.run_until_quiescent(MAX_STEPS)
+    settled = len(net.trace.lines())
+    net.spawn(lambda e, s: None, None, [PatchAction(Patch({account(b) for b in balances}, ()))])
+    net.run_until_quiescent(MAX_STEPS)
+    later = entries(net.trace.lines()[settled:])
+    assert [e for e in later if e["kind"] == "crash"] == []
+    assert [json.dumps(e["data"]) for e in later if e["kind"] == "event-message"] == shown
 
 
 def test_bank_account_deposit_amounts():
@@ -166,24 +182,30 @@ def test_file_system_plain_and_reactive_agree():
     assert traces_equivalent(plain, reactive, FILE_LENS)
 
 
-def delete_then_save(name):
-    """Run a file-system scenario, then delete and re-save the watched file."""
+def save(content):
+    return rec("save", rec("file", "novel.txt", content))
+
+
+# a ground message: the wildcard form is refused as non-ground
+DELETE = rec("delete", rec("file", "novel.txt", False))
+
+
+def run_file_edits(name, edits=(DELETE, save("x"))):
+    """Run a file-system scenario, then send each edit from a peer watching the file."""
     net = new_network()
     SCENARIOS[name](net)
     watched = observe(rec("file", "novel.txt", WILDCARD))
     peer = net.spawn(lambda e, s: None, None, [PatchAction(Patch({watched}, ()))])
     net.run_until_quiescent(MAX_STEPS)
-    # a ground message: the wildcard form is refused as non-ground
-    net.interpret_action(peer, MessageAction(rec("delete", rec("file", "novel.txt", False))))
-    net.run_until_quiescent(MAX_STEPS)
-    net.interpret_action(peer, MessageAction(rec("save", rec("file", "novel.txt", "x"))))
-    net.run_until_quiescent(MAX_STEPS, after_step=net.check_visibility)
+    for edit in edits:
+        net.interpret_action(peer, MessageAction(edit))
+        net.run_until_quiescent(MAX_STEPS, after_step=net.check_visibility)
     return net.trace.lines()
 
 
 @pytest.mark.parametrize("name", ["file-system-plain", "file-system-reactive"])
 def test_file_system_delete_resets_the_cache_entry(name):
-    snaps = aggregate_snapshots(delete_then_save(name), FILE_LENS)
+    snaps = aggregate_snapshots(run_file_edits(name), FILE_LENS)
     assert snaps[-3:] == [
         frozenset({rec("file", "novel.txt", NOVEL_TEXT)}),
         frozenset({rec("file", "novel.txt", False)}),
@@ -192,9 +214,11 @@ def test_file_system_delete_resets_the_cache_entry(name):
 
 
 def test_file_system_delete_agrees_across_styles():
-    plain = delete_then_save("file-system-plain")
-    reactive = delete_then_save("file-system-reactive")
-    assert traces_equivalent(plain, reactive, FILE_LENS)
+    # a save of 0 over the missing marker #f, or of #t over 1, is a change
+    for edits in [(DELETE, save("x")), (DELETE, save(0)), (save(1), save(True))]:
+        plain = run_file_edits("file-system-plain", edits)
+        reactive = run_file_edits("file-system-reactive", edits)
+        assert traces_equivalent(plain, reactive, FILE_LENS), edits
 
 
 def test_unrelated_scenarios_are_not_equivalent():
