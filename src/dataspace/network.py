@@ -250,14 +250,12 @@ class Network:
                 raise TypeError(f"step result is not Continue or None: {result!r}")
             self.actors[aid].state = result.state
             for act in result.actions:
-                if aid not in self.actors:
-                    break  # quit or crashed part-way through its action list
                 self.interpret_action(aid, act)
         except Exception as exc:
             self.terminate_actor(aid, _crash_detail(exc))
 
     def interpret_action(self, aid: tuple[int, ...], action) -> None:
-        """Perform one action on behalf of a registered actor."""
+        """Perform one action for a registered actor; a no-op once it is gone."""
         if aid not in self.actors:
             return
         if isinstance(action, PatchAction):

@@ -6,11 +6,13 @@ state runs its facets in a fresh actor: the parent installs an internal
 watcher for a reserved completion assertion, the fresh actor hosts the
 facets, and the termination clause's result values travel back through the
 dataspace.  A reactive actor therefore holds one state at a time: a script's
-watcher or a hosted state.  The facets of that state claim their assertions
-in one bag (:class:`patches.Bag`), the mux: only an assertion's first claim
-and last release reach the network, so facets that claim the same assertion
-never interfere.  Each triggering value is matched against a clause once;
-the body's bindings are the captures of that unified value.
+watcher, whose completion resumes the script, or a hosted state, whose
+completion asserts the result and quits the host.  The facets of that state
+claim their assertions in one bag (:class:`patches.Bag`), the mux: only an
+assertion's first claim and last release reach the network, so facets that
+claim the same assertion never interfere.  Each triggering value is matched
+against a clause once; the body's bindings are the captures of that unified
+value.
 """
 
 from __future__ import annotations
@@ -181,7 +183,8 @@ def _compile_clause(spec, body, n: int, what: str) -> _Clause:
     return _Clause(kind, subscription, extraction, names, body=body)
 
 
-def _make_spec(collect, facets, stop) -> StateSpec:
+def state(*, collect=(), facets=(), stop=()) -> StateSpec:
+    """A blocking state: facets stay active until a stop clause fires."""
     collect = tuple((str(name), init) for name, init in collect)
     n = len(collect)
     asserts = []
@@ -201,19 +204,14 @@ def _make_spec(collect, facets, stop) -> StateSpec:
     return StateSpec(collect, tuple(asserts), tuple(ons), whens)
 
 
-def state(*, collect=(), facets=(), stop=()) -> StateSpec:
-    """A blocking state: facets stay active until a stop clause fires."""
-    return _make_spec(collect, facets, stop)
-
-
 def until(spec, *, collect=(), facets=(), body=None) -> StateSpec:
     """A state with exactly one termination event."""
-    return _make_spec(collect, facets, (When(spec, body),))
+    return state(collect=collect, facets=facets, stop=(When(spec, body),))
 
 
 def forever(*, collect=(), facets=()) -> StateSpec:
     """A state with no termination events; it never returns."""
-    return _make_spec(collect, facets, ())
+    return state(collect=collect, facets=facets)
 
 
 # -- per-actor runtime ---------------------------------------------------------
@@ -222,10 +220,9 @@ def forever(*, collect=(), facets=()) -> StateSpec:
 class _Group:
     """The installed state: collected values, facets, and mux contributions."""
 
-    def __init__(self, spec: StateSpec, on_complete: Callable):
+    def __init__(self, spec: StateSpec):
         self.spec = spec
         self.collected = tuple(init for _, init in spec.collect)
-        self.on_complete = on_complete
         self.subscriptions = tuple(
             observe(c.subscription)
             for c in (*spec.ons, *spec.whens)
@@ -251,13 +248,11 @@ class ActorContext:
 
     def actor(self, script) -> None:
         """Spawn a sibling actor running the given script."""
-        self._runtime._buffer(SpawnAction(_reactive_step, ReactiveState(script), ()))
+        self._runtime._buffer(_spawn(ReactiveState(script)))
 
     def detach(self, spec: StateSpec) -> None:
         """Run a state in an independent child actor without waiting for it."""
-        self._runtime._buffer(
-            SpawnAction(_reactive_step, ReactiveState(None, _initial=(spec, None)), ())
-        )
+        self._runtime._buffer(_spawn(ReactiveState(None, _initial=(spec, None))))
 
 
 class ReactiveState:
@@ -301,7 +296,7 @@ class ReactiveState:
 
     def _start(self) -> None:
         if self._initial is not None:
-            self.install_group(self._initial[0], self._complete)
+            self.install_group(self._initial[0])
             return
         if self._script_fn is not None:
             out = self._script_fn(self.ctx)
@@ -328,10 +323,8 @@ class ReactiveState:
         sid = self._fresh_sid()
         compiled = compile_surface(rec(RESERVED_LABEL, sid, Bind("payload")))
         watcher = _Clause("asserted", *compiled, body=lambda ctx, payload: payload)
-        self.install_group(StateSpec((), (), (), (watcher,)), self._resume_script)
-        self._buffer(
-            SpawnAction(_reactive_step, ReactiveState(None, _initial=(spec, sid)), ())
-        )
+        self.install_group(StateSpec((), (), (), (watcher,)))
+        self._buffer(_spawn(ReactiveState(None, _initial=(spec, sid))))
 
     def _resume_script(self, raw) -> None:
         values = raw.fields  # raw is the ground values record
@@ -352,11 +345,15 @@ class ReactiveState:
 
     # -- state lifecycle ----------------------------------------------------------
 
-    def install_group(self, spec: StateSpec, on_complete: Callable) -> None:
-        """Install the actor's state; a rising edge already true at install fires."""
+    def install_group(self, spec: StateSpec) -> None:
+        """Install the actor's state; a rising edge already true at install fires.
+
+        Its completion follows the actor's role: a script's watcher resumes
+        the script, and a hosted state completes its host.
+        """
         if self._group is not None:
             raise RuntimeError("a reactive actor holds one state at a time")
-        group = self._group = _Group(spec, on_complete)
+        group = self._group = _Group(spec)
         self._change_mux((*group.subscriptions, *group.assert_current))
         self._check_stop(group, None)
 
@@ -415,7 +412,7 @@ class ReactiveState:
     def _fire(self, group: _Group, w: _Clause, bindings: tuple) -> None:
         raw = w.body(self.ctx, *group.collected, *bindings) if w.body else None
         self.teardown_group()
-        group.on_complete(raw)
+        (self._resume_script if self._gen is not None else self._complete)(raw)
 
 
 def _triggers(c: _Clause, event) -> list:
@@ -425,7 +422,7 @@ def _triggers(c: _Clause, event) -> list:
         if isinstance(event, MessageEvent) and matches(c.subscription, event.body):
             return [event.body]  # ground, so it is its own unification
         return []
-    if c.kind == "rising-edge" or not isinstance(event, PatchEvent):
+    if not isinstance(event, PatchEvent):
         return []
     pool = event.patch.added if c.kind == "asserted" else event.patch.removed
     hits = {a: u for a in pool if (u := intersect(c.subscription, a)) is not None}
@@ -446,6 +443,10 @@ def _pack_values(raw) -> Record:
     return payload
 
 
+def _spawn(state: ReactiveState) -> SpawnAction:
+    return SpawnAction(_reactive_step, state)
+
+
 def _reactive_step(event, state: ReactiveState):
     actions = state.collect_actions(lambda: state._deliver(event))
     return Continue(state, actions) if actions else None
@@ -453,4 +454,4 @@ def _reactive_step(event, state: ReactiveState):
 
 def reactive_actor(net, script) -> tuple[int, ...]:
     """Spawn an actor that runs the script until it completes or suspends."""
-    return net.spawn(_reactive_step, ReactiveState(script), ())
+    return net.spawn(_reactive_step, ReactiveState(script))

@@ -43,7 +43,7 @@ from .values import (
     Capture,
     Sym,
     WILDCARD,
-    intersect,
+    canonical_key,
     matches,
     observe,
     project_assertions,
@@ -67,6 +67,17 @@ def _deposit(amount):
 
 def _file(name, content):
     return rec("file", name, content)
+
+
+def _spawn_once(net: Network, interest, messages: tuple) -> None:
+    """A plain actor that sends messages, then quits, once interest is first met."""
+
+    def once(event, nothing):
+        if isinstance(event, PatchEvent) and event.patch.added:
+            return Continue(nothing, [*map(MessageAction, messages), QUIT])
+        return None
+
+    net.spawn(once, None, [PatchAction(Patch({observe(interest)}, ()))])
 
 
 # -- bank account, plain behaviour functions -----------------------------------
@@ -104,19 +115,7 @@ def build_bank_account_plain(net: Network) -> None:
         [PatchAction(Patch({observe(_account(WILDCARD))}, ()))],
     )
 
-    def updater(event, nothing):
-        if isinstance(event, PatchEvent) and event.patch.added:
-            return Continue(
-                nothing,
-                [MessageAction(_deposit(100)), MessageAction(_deposit(-30)), QUIT],
-            )
-        return None
-
-    net.spawn(
-        updater,
-        None,
-        [PatchAction(Patch({observe(observe(_deposit(WILDCARD)))}, ()))],
-    )
+    _spawn_once(net, observe(_deposit(WILDCARD)), (_deposit(100), _deposit(-30)))
 
 
 # -- bank account, reactive facets ----------------------------------------------
@@ -184,28 +183,14 @@ def _counter_script(ctx):
     ctx.send(Sym("finished"))
 
 
-def _spawn_counter_driver(net: Network, messages: tuple) -> None:
-    # Fires its message burst once somebody declares interest in 'incr.
-    def driver(event, nothing):
-        if isinstance(event, PatchEvent) and event.patch.added:
-            return Continue(nothing, [*(MessageAction(m) for m in messages), QUIT])
-        return None
-
-    net.spawn(
-        driver,
-        None,
-        [PatchAction(Patch({observe(observe(Sym("incr")))}, ()))],
-    )
-
-
 def build_counter(net: Network) -> None:
     reactive_actor(net, _counter_script)
-    _spawn_counter_driver(net, (Sym("incr"),) * 5)
+    _spawn_once(net, observe(Sym("incr")), (Sym("incr"),) * 5)
 
 
 def build_counter_interrupt(net: Network) -> None:
     reactive_actor(net, _counter_script)
-    _spawn_counter_driver(net, (Sym("incr"), Sym("incr"), Sym("interrupt")))
+    _spawn_once(net, observe(Sym("incr")), (Sym("incr"), Sym("incr"), Sym("interrupt")))
 
 
 # -- file system, reactive ---------------------------------------------------------
@@ -213,18 +198,19 @@ def build_counter_interrupt(net: Network) -> None:
 
 def build_file_system_reactive(net: Network) -> None:
     def file_system(ctx):
+        # files is keyed by canonical_key(name), so names 1 and #t stay apart
         def on_save(ctx, files, name, content):
-            return {**files, name: content}
+            return {**files, canonical_key(name): content}
 
         def on_delete(ctx, files, name):
-            return {k: v for k, v in files.items() if k != name}
+            return {k: v for k, v in files.items() if k != canonical_key(name)}
 
         def on_observed(ctx, files, name):
             # Cache entry: lives until the last observer loses interest.
             ctx.detach(
                 until(
                     Retracted(observe(_file(name, WILDCARD))),
-                    collect=[("content", files.get(name, False))],
+                    collect=[("content", files.get(canonical_key(name), False))],
                     facets=[
                         Assert(lambda content: _file(name, content)),
                         On(
@@ -311,19 +297,21 @@ def build_file_system_plain(net: Network) -> None:
     observed_file = observe(_file(Capture(), WILDCARD))
 
     def file_system(event, files):
+        # files is keyed by canonical_key(name), so names 1 and #t stay apart
         if isinstance(event, MessageEvent):
             if matches(rec("save", _file(WILDCARD, WILDCARD)), event.body):
-                f = event.body.fields[0]
-                return Continue({**files, f.fields[0]: f.fields[1]}, [])
+                name, content = event.body.fields[0].fields
+                return Continue({**files, canonical_key(name): content}, [])
             if matches(rec("delete", _file(WILDCARD, WILDCARD)), event.body):
-                f = event.body.fields[0]
-                return Continue({k: v for k, v in files.items() if k != f.fields[0]}, [])
+                key = canonical_key(event.body.fields[0].fields[0])
+                return Continue({k: v for k, v in files.items() if k != key}, [])
             return None
         names = project_assertions(event.patch.added, observed_file)
         if not names:
             return None
         spawns = [
-            _spawn_file_observation(name, files.get(name, False)) for (name,) in names
+            _spawn_file_observation(name, files.get(canonical_key(name), False))
+            for (name,) in names
         ]
         return Continue(files, spawns)
 
@@ -355,17 +343,7 @@ def build_file_system_plain(net: Network) -> None:
 
     net.spawn(monitor, 0, [PatchAction(Patch({observe(_file(NOVEL, WILDCARD))}, ()))])
 
-    def writer(event, nothing):
-        if isinstance(event, PatchEvent) and any(
-            intersect(_file(NOVEL, WILDCARD), a) is not None
-            for a in event.patch.added
-        ):
-            return Continue(
-                nothing, [MessageAction(rec("save", _file(NOVEL, NOVEL_TEXT))), QUIT]
-            )
-        return None
-
-    net.spawn(writer, None, [PatchAction(Patch({observe(_file(NOVEL, WILDCARD))}, ()))])
+    _spawn_once(net, _file(NOVEL, WILDCARD), (rec("save", _file(NOVEL, NOVEL_TEXT)),))
 
 
 # -- registry and runner -----------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import threading
 import weakref
-from typing import Any, Iterable
+from typing import Iterable
 
 __all__ = [
     "Bind",
@@ -302,17 +302,8 @@ def intersect(p, q):
 
 
 def matches(p, v) -> bool:
-    """True iff ground value v is matched by pattern p."""
-    if p is WILDCARD or p is v:
-        return True
-    if isinstance(p, Record):
-        return (
-            isinstance(v, Record)
-            and p.label is v.label
-            and len(p.fields) == len(v.fields)
-            and all(matches(a, b) for a, b in zip(p.fields, v.fields))
-        )
-    return _same_atom(p, v)
+    """True iff ground value v is matched by pattern p: they intersect."""
+    return intersect(p, v) is not None
 
 
 def erase(proj):

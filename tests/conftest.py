@@ -15,7 +15,6 @@ from dataspace import (
     canonical_encode,
     canonical_key,
     erase,
-    matches,
     rec,
 )
 
@@ -65,8 +64,24 @@ def ground_universe(atoms=("novel.txt", "x", 0, Sym("s")), labels=("file", "obse
     return depth1 + depth2 + depth3
 
 
+def oracle_matches(p, v) -> bool:
+    """Structural walk, independent of ``intersect``: true iff ground value v
+    is matched by pattern p.  Atoms match only with the same type, so 1 and
+    #t stay apart."""
+    if p is WILDCARD or p is v:
+        return True
+    if isinstance(p, Record):
+        return (
+            isinstance(v, Record)
+            and p.label is v.label
+            and len(p.fields) == len(v.fields)
+            and all(oracle_matches(a, b) for a, b in zip(p.fields, v.fields))
+        )
+    return type(p) is type(v) and p == v
+
+
 def match_set(p, universe):
-    return frozenset(v for v in universe if matches(p, v))
+    return frozenset(v for v in universe if oracle_matches(p, v))
 
 
 def capture_paths(proj, path=()):
@@ -93,7 +108,7 @@ def brute_force_project(assertions, proj):
     stripped = erase(proj)
     out = {}
     for a in assertions:
-        if matches(stripped, a):
+        if oracle_matches(stripped, a):
             caps = tuple(subtree_at(a, p) for p in paths)
             out[tuple(map(canonical_encode, caps))] = caps
     return sorted(out.values(), key=lambda caps: tuple(map(canonical_key, caps)))

@@ -210,7 +210,7 @@ def test_criterion_7_mux_non_interference():
             collect=[("n", 0)],
             facets=[*facets, On(Message(move), lambda ctx, n: n + 1)],
         )
-        up = rt.collect_actions(lambda: rt.install_group(spec, lambda raw: None))
+        up = rt.collect_actions(lambda: rt.install_group(spec))
         assert up == [PatchAction(Patch({shared, observe(move)}, ()))]
         moved = rt.collect_actions(lambda: rt._deliver(MessageEvent(move)))
         assert moved == [PatchAction(Patch({rec("moved", 1)}, ()))], (

@@ -497,6 +497,25 @@ def test_terminate_nested_network_drops_descendants():
     assert events == []  # the network actor asserted nothing upward
 
 
+def test_terminating_a_nested_network_quits_its_nested_networks_innermost_first():
+    net = new_network()
+    outer = net.spawn_nested()
+    inner = outer.spawn_nested()
+    build_bank_account_plain(inner)
+    net.run_until_quiescent(200)
+    assert inner.path == (0, 0) and sorted(inner.actors) == [(0, 0, 0), (0, 0, 1)]
+    start = len(net.trace.entries)
+    net.terminate_actor(outer.path)
+    assert [(e["actor"], e["kind"]) for e in net.trace.entries[start:]] == [
+        ("g/0/0/0", "quit"),
+        ("g/0/0/1", "quit"),
+        ("g/0/0", "quit"),
+        ("g/0", "quit"),
+    ]
+    assert not inner.actors and not inner.queue
+    net.check_visibility()
+
+
 def test_one_and_true_are_distinct_assertions():
     # A asserts (a 1), B asserts (a #t), C observes (a #t): C sees B's
     # record, and the aggregate holds both, once each

@@ -159,7 +159,7 @@ def test_mux_two_facets_same_assertion_do_not_interfere():
             On(Message(move), lambda ctx, n: n + 1),
         ],
     )
-    installed = rt.collect_actions(lambda: rt.install_group(spec, lambda raw: None))
+    installed = rt.collect_actions(lambda: rt.install_group(spec))
     assert installed == [PatchAction(Patch({shared, observe(move)}, ()))]
     moved = rt.collect_actions(lambda: rt._deliver(MessageEvent(move)))
     assert moved == [PatchAction(Patch({rec("moved", 1)}, ()))]  # shared still claimed
@@ -170,16 +170,16 @@ def test_mux_two_facets_same_assertion_do_not_interfere():
 def test_teardown_of_facetless_group_emits_no_patch():
     rt = ReactiveState(None)
     spec = state(collect=[("n", 0)], stop=[When(RisingEdge(lambda n: n > 0))])
-    assert rt.collect_actions(lambda: rt.install_group(spec, lambda raw: None)) == []
+    assert rt.collect_actions(lambda: rt.install_group(spec)) == []
     assert rt.collect_actions(rt.teardown_group) == []
 
 
 def test_a_second_state_is_refused():
     rt = ReactiveState(None)
     spec = forever(facets=[Assert(lambda: rec("held"))])
-    rt.collect_actions(lambda: rt.install_group(spec, lambda raw: None))
+    rt.collect_actions(lambda: rt.install_group(spec))
     with pytest.raises(RuntimeError, match="one state"):
-        rt.collect_actions(lambda: rt.install_group(spec, lambda raw: None))
+        rt.collect_actions(lambda: rt.install_group(spec))
 
 
 def test_mux_subscription_overlaps_assert_facet():
@@ -194,7 +194,7 @@ def test_mux_subscription_overlaps_assert_facet():
             Assert(lambda n: watched if n == 0 else rec("pinged", n)),
         ],
     )
-    installed = rt.collect_actions(lambda: rt.install_group(spec, lambda raw: None))
+    installed = rt.collect_actions(lambda: rt.install_group(spec))
     assert installed == [PatchAction(Patch({watched}, ()))]
     moved = rt.collect_actions(lambda: rt._deliver(MessageEvent(ping)))
     assert moved == [PatchAction(Patch({rec("pinged", 1)}, ()))]  # still subscribed

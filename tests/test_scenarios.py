@@ -5,6 +5,7 @@ import pytest
 from dataspace import (
     SCENARIOS,
     MessageAction,
+    NonQuiescent,
     Patch,
     PatchAction,
     Sym,
@@ -221,6 +222,42 @@ def test_file_system_delete_agrees_across_styles():
         assert traces_equivalent(plain, reactive, FILE_LENS), edits
 
 
+@pytest.mark.parametrize("name", ["file-system-plain", "file-system-reactive"])
+def test_file_system_store_keeps_names_one_and_true_apart(name):
+    net = new_network()
+    SCENARIOS[name](net)
+    net.run_until_quiescent(MAX_STEPS)
+
+    def settle():
+        net.run_until_quiescent(MAX_STEPS, after_step=net.check_visibility)
+
+    def watch(file_name):
+        shown = []
+
+        def watcher(event, state):
+            shown.extend(event.patch.added)
+            return None
+
+        interest = observe(rec("file", file_name, WILDCARD))
+        aid = net.spawn(watcher, None, [PatchAction(Patch({interest}, ()))])
+        settle()
+        return aid, shown
+
+    def send(edit):
+        net.interpret_action(editor, MessageAction(edit))
+        settle()
+
+    editor = net.spawn(lambda e, s: None, None)
+    send(rec("save", rec("file", 1, "one")))
+    first, shown = watch(True)
+    assert shown == [rec("file", True, False)]  # file #t was never saved
+    send(rec("delete", rec("file", True, False)))
+    net.terminate_actor(first)
+    settle()
+    _, shown = watch(1)
+    assert shown == [rec("file", 1, "one")]  # deleting file #t kept file 1
+
+
 def test_unrelated_scenarios_are_not_equivalent():
     _, counter = run_scenario("counter")
     _, bank = run_scenario("bank-account-plain")
@@ -233,6 +270,19 @@ def test_every_scenario_is_quiescent_and_deterministic():
         _, second = run_scenario(name)
         assert first == second, name
         assert [e["seq"] for e in entries(first)] == list(range(len(first)))
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_step_budget_is_exactly_the_dispatches_a_scenario_needs(name):
+    def fresh():
+        net = new_network()
+        SCENARIOS[name](net)
+        return net
+
+    steps = fresh().run_until_quiescent(MAX_STEPS)
+    assert fresh().run_until_quiescent(steps) == steps
+    with pytest.raises(NonQuiescent):
+        fresh().run_until_quiescent(steps - 1)
 
 
 def test_every_scenario_replays_byte_identically_after_allocation_churn():

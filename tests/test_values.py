@@ -14,6 +14,7 @@ from conftest import (
     brute_force_project,
     ground_universe,
     match_set,
+    oracle_matches,
     pattern_strategy,
     value_strategy,
 )
@@ -197,7 +198,7 @@ def test_distinct_canonical_texts_are_distinct_members_and_bag_keys(vs):
 @given(TYPED_PATTERNS, TYPED_VALUES)
 def test_intersect_gives_back_a_value_its_pattern_matches(p, v):
     # unification that narrows nothing builds nothing
-    if matches(p, v):
+    if oracle_matches(p, v):
         assert intersect(p, v) is v
         assert intersect(v, p) is v
 
@@ -252,7 +253,14 @@ def test_matches_examples():
 
 @given(pattern_strategy(), value_strategy())
 def test_matches_agrees_with_intersect(p, v):
-    assert matches(p, v) == (intersect(p, v) == v)
+    assert matches(p, v) == oracle_matches(p, v) == (intersect(p, v) == v)
+
+
+def test_matches_agrees_with_oracle_on_every_pair_of_typed_atoms():
+    for a in (WILDCARD, *TYPED_ATOM_VOCAB):
+        for b in TYPED_ATOM_VOCAB:
+            for p, v in ((a, b), (rec("f", a), rec("f", b))):
+                assert matches(p, v) == oracle_matches(p, v), (p, v)
 
 
 # -- projections ------------------------------------------------------------------
