@@ -1,14 +1,15 @@
 """The network actor: actor table, aggregate dataspace, deterministic queue.
 
-Actors are leaf behaviours (functions from an event and private state to a
-step result) or nested networks.  All shared-state changes flow through
-patches.  The network files every interest and every supported assertion
-in an index, so a patch or message reaches only the actors whose interests
-intersect what changed; each actor keeps a bag counting, per visible
-assertion, how many of its interests intersect it, and the crossings of
-those counts are its state change notifications.  ``check_visibility``
-recounts all of this from scratch as a test oracle.  Scheduling is a single
-FIFO of (actor, event) pairs, so identical programs produce identical traces.
+Actors are behaviours, functions from an event and private state to a step
+result; a nested network is one that dispatches one of its own events per
+tick.  All shared-state changes flow through patches.  The network files every
+interest and every supported assertion in an index, so a patch or message
+reaches only the actors whose interests intersect what changed; each actor
+keeps a bag counting, per visible assertion, how many of its interests
+intersect it, and the crossings of those counts are its state change
+notifications.  ``check_visibility`` recounts all of this from scratch as a
+test oracle.  Scheduling is a single FIFO of (actor, event) pairs, so
+identical programs produce identical traces.
 """
 
 from __future__ import annotations
@@ -108,13 +109,17 @@ QUIT = QuitAction()
 _TICK = object()
 
 
-def _crash_detail(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
+def _step_nested(tick, child: "Network") -> None:
+    # the behaviour of a nested network actor: one child dispatch per tick
+    child._tick_pending = False
+    child.dispatch_one()
+    if child.queue:
+        child._notify_parent()
 
 
 @dataclass
 class _ActorEntry:
-    behaviour: Optional[Callable]
+    behaviour: Callable
     state: Any
     asserted: frozenset = frozenset()
     # visible assertion -> how many of this actor's interests intersect it
@@ -144,14 +149,14 @@ class Network:
     logical thread.
     """
 
-    def __init__(self, *, _path=(), _trace=None, _parent=None):
+    def __init__(self, *, _path=(), _parent=None):
         self.path: tuple[int, ...] = _path
         self.actors: dict[tuple[int, ...], _ActorEntry] = {}
         self.aggregate: Bag = Bag()
         self.support = Index()  # the aggregate's support
         self.interests = Index()  # every actor's interests, filed under its aid
         self.queue: deque = deque()
-        self.trace: TraceLog = _trace if _trace is not None else TraceLog()
+        self.trace: TraceLog = _parent.trace if _parent is not None else TraceLog()
         self._next_index = 0
         self._parent: Optional[Network] = _parent
         self._tick_pending = False
@@ -191,10 +196,9 @@ class Network:
         return aid
 
     def spawn_nested(self) -> "Network":
-        """Create a contained network actor with its own private dataspace."""
-        entry = _ActorEntry(behaviour=None, state=None)
-        aid = self._register(entry)
-        entry.nested = Network(_path=aid, _trace=self.trace, _parent=self)
+        """Create a network actor, stepped by _step_nested, with a private dataspace."""
+        entry = _ActorEntry(behaviour=_step_nested, state=None)
+        entry.state = entry.nested = Network(_path=self._register(entry), _parent=self)
         return entry.nested
 
     def _register(self, entry: _ActorEntry) -> tuple[int, ...]:
@@ -252,7 +256,7 @@ class Network:
             for act in result.actions:
                 self.interpret_action(aid, act)
         except Exception as exc:
-            self.terminate_actor(aid, _crash_detail(exc))
+            self.terminate_actor(aid, f"{type(exc).__name__}: {exc}")
 
     def interpret_action(self, aid: tuple[int, ...], action) -> None:
         """Perform one action for a registered actor; a no-op once it is gone."""
@@ -322,30 +326,23 @@ class Network:
             self._parent._enqueue(self.path, _TICK)
 
     def dispatch_one(self, index: int = 0) -> bool:
-        """Deliver one queued event; False when quiescent.
+        """Deliver one queued event to its actor; False when quiescent.
 
         index selects which queued event to take (default: oldest); tests
-        use it to explore alternative interleavings.
+        use it to explore alternative interleavings.  A nested network's
+        tick is an event like any other, so a tick whose child queue was
+        emptied meanwhile (its actor quit) is a dispatch that does nothing.
         """
-        while self.queue:
-            i = index if 0 < index < len(self.queue) else 0
-            aid, event = self.queue[i]
-            del self.queue[i]
-            entry = self.actors[aid]
-            if entry.nested is not None:
-                child = entry.nested
-                child._tick_pending = False
-                progressed = child.dispatch_one()
-                if child.queue:
-                    child._notify_parent()
-                if not progressed:
-                    continue
-                return True
-            if isinstance(event, PatchEvent):
-                self.trace.emit(self._label(aid), "patch-in", patch_jsonable(event.patch))
-            self._run_actor(aid, lambda: entry.behaviour(event, entry.state))
-            return True
-        return False
+        if not self.queue:
+            return False
+        i = index if 0 < index < len(self.queue) else 0
+        aid, event = self.queue[i]
+        del self.queue[i]
+        entry = self.actors[aid]
+        if isinstance(event, PatchEvent):
+            self.trace.emit(self._label(aid), "patch-in", patch_jsonable(event.patch))
+        self._run_actor(aid, lambda: entry.behaviour(event, entry.state))
+        return True
 
     def run_until_quiescent(self, max_steps: int, *, pick=None, after_step=None) -> int:
         """Dispatch until the queue drains; NonQuiescent past max_steps.

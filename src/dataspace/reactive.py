@@ -127,7 +127,6 @@ class _Clause:
     kind: str  # message | asserted | retracted | rising-edge
     subscription: Any = None
     extraction: Any = None
-    names: tuple = ()
     predicate: Optional[Callable] = None
     body: Optional[Callable] = None
 
@@ -180,7 +179,7 @@ def _compile_clause(spec, body, n: int, what: str) -> _Clause:
         raise ValueError(f"pattern uses the reserved label {RESERVED_LABEL!r}")
     if body is not None:
         _check_arity(body, 1 + n + len(names), what.format(kind=kind))
-    return _Clause(kind, subscription, extraction, names, body=body)
+    return _Clause(kind, subscription, extraction, body=body)
 
 
 def state(*, collect=(), facets=(), stop=()) -> StateSpec:
@@ -321,8 +320,8 @@ class ReactiveState:
 
     def _enter_state(self, spec: StateSpec) -> None:
         sid = self._fresh_sid()
-        compiled = compile_surface(rec(RESERVED_LABEL, sid, Bind("payload")))
-        watcher = _Clause("asserted", *compiled, body=lambda ctx, payload: payload)
+        sub, ext, _ = compile_surface(rec(RESERVED_LABEL, sid, Bind("payload")))
+        watcher = _Clause("asserted", sub, ext, body=lambda ctx, payload: payload)
         self.install_group(StateSpec((), (), (), (watcher,)))
         self._buffer(_spawn(ReactiveState(None, _initial=(spec, sid))))
 

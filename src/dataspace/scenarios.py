@@ -9,7 +9,7 @@ event-message trace entries so traces stay host-independent.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from .network import (
     Continue,
@@ -69,6 +69,11 @@ def _file(name, content):
     return rec("file", name, content)
 
 
+def _asserting(*assertions) -> tuple:
+    """Startup actions that assert the given values."""
+    return (PatchAction(Patch(assertions, ())),)
+
+
 def _spawn_once(net: Network, interest, messages: tuple) -> None:
     """A plain actor that sends messages, then quits, once interest is first met."""
 
@@ -77,7 +82,7 @@ def _spawn_once(net: Network, interest, messages: tuple) -> None:
             return Continue(nothing, [*map(MessageAction, messages), QUIT])
         return None
 
-    net.spawn(once, None, [PatchAction(Patch({observe(interest)}, ()))])
+    net.spawn(once, None, _asserting(observe(interest)))
 
 
 # -- bank account, plain behaviour functions -----------------------------------
@@ -95,11 +100,7 @@ def build_bank_account_plain(net: Network) -> None:
             return Continue(new_balance, [PatchAction(update)])
         return None
 
-    net.spawn(
-        manager,
-        0,
-        [PatchAction(Patch({_account(0), observe(_deposit(WILDCARD))}, ()))],
-    )
+    net.spawn(manager, 0, _asserting(_account(0), observe(_deposit(WILDCARD))))
 
     def observer(event, nothing):
         if isinstance(event, PatchEvent):
@@ -109,11 +110,7 @@ def build_bank_account_plain(net: Network) -> None:
                 return Continue(nothing, outs)
         return None
 
-    net.spawn(
-        observer,
-        None,
-        [PatchAction(Patch({observe(_account(WILDCARD))}, ()))],
-    )
+    net.spawn(observer, None, _asserting(observe(_account(WILDCARD))))
 
     _spawn_once(net, observe(_deposit(WILDCARD)), (_deposit(100), _deposit(-30)))
 
@@ -284,13 +281,10 @@ def _spawn_file_observation(name, content):
             return Continue(content, [QUIT])
         return None
 
-    startup = PatchAction(
-        Patch(
-            {_file(name, content), observe(save_pat), observe(delete_pat), observe(watched)},
-            (),
-        )
+    startup = _asserting(
+        _file(name, content), observe(save_pat), observe(delete_pat), observe(watched)
     )
-    return SpawnAction(observation, content, (startup,))
+    return SpawnAction(observation, content, startup)
 
 
 def build_file_system_plain(net: Network) -> None:
@@ -318,18 +312,11 @@ def build_file_system_plain(net: Network) -> None:
     net.spawn(
         file_system,
         {},
-        [
-            PatchAction(
-                Patch(
-                    {
-                        observe(rec("save", _file(WILDCARD, WILDCARD))),
-                        observe(rec("delete", _file(WILDCARD, WILDCARD))),
-                        observe(observe(_file(WILDCARD, WILDCARD))),
-                    },
-                    (),
-                )
-            )
-        ],
+        _asserting(
+            observe(rec("save", _file(WILDCARD, WILDCARD))),
+            observe(rec("delete", _file(WILDCARD, WILDCARD))),
+            observe(observe(_file(WILDCARD, WILDCARD))),
+        ),
     )
 
     def monitor(event, seen):
@@ -341,7 +328,7 @@ def build_file_system_plain(net: Network) -> None:
                 return Continue(seen, outs + ([QUIT] if seen >= 2 else []))
         return None
 
-    net.spawn(monitor, 0, [PatchAction(Patch({observe(_file(NOVEL, WILDCARD))}, ()))])
+    net.spawn(monitor, 0, _asserting(observe(_file(NOVEL, WILDCARD))))
 
     _spawn_once(net, _file(NOVEL, WILDCARD), (rec("save", _file(NOVEL, NOVEL_TEXT)),))
 
@@ -361,27 +348,19 @@ SCENARIOS: dict[str, Callable[[Network], None]] = {
 
 
 def run_scenario(
-    name: str,
-    max_steps: int = MAX_STEPS,
-    *,
-    oracle: bool = False,
-    picker: Optional[Callable[[int], int]] = None,
+    name: str, max_steps: int = MAX_STEPS, *, oracle: bool = False
 ) -> tuple[Network, list[str]]:
-    """Build and run a scenario to quiescence; returns (network, trace lines).
+    """Build and run a scenario to quiescence in FIFO order; returns (network, trace lines).
 
     With oracle=True the aggregate counts and every actor's visible set are
     recounted from scratch after every dispatch and compared with the ones
-    the network keeps (VisibilityMismatch on a difference).  picker, given
-    the queue length, chooses which queued event to dispatch next (tests use
-    it to explore alternative interleavings; default is FIFO).
+    the network keeps (VisibilityMismatch on a difference).  To explore
+    other interleavings, build the scenario into a network and pass pick to
+    its run_until_quiescent.
     """
     net = new_network()
     SCENARIOS[name](net)
-    net.run_until_quiescent(
-        max_steps,
-        pick=picker,
-        after_step=net.check_visibility if oracle else None,
-    )
+    net.run_until_quiescent(max_steps, after_step=net.check_visibility if oracle else None)
     return net, net.trace.lines()
 
 

@@ -39,18 +39,19 @@ def patch_jsonable(p: Patch) -> dict:
 
 
 def aggregate_snapshots(trace, lens) -> list[frozenset]:
-    """Distinct aggregate snapshots visible through a lens pattern.
+    """Distinct snapshots of the ground dataspace visible through a lens pattern.
 
-    Replays the patch-out entries of a trace, given as its JSON lines, into
-    an assertion bag and records the support restricted to lens-matching
-    assertions, collapsing consecutive duplicates.  Actor identities are
-    deliberately erased.  Raises KeyError when the trace retracts something
-    it never asserted.
+    Replays the patch-out entries of ground actors (``g/N``) of a trace,
+    given as its JSON lines, into an assertion bag and records the support
+    restricted to lens-matching assertions, collapsing consecutive
+    duplicates; a nested network's dataspace is private, so its actors'
+    entries are skipped.  Actor identities are otherwise erased.  Raises
+    KeyError when the trace retracts something it never asserted.
     """
     bag = Bag()
     snaps = [frozenset()]
     for entry in map(json.loads, trace):
-        if entry["kind"] != "patch-out":
+        if entry["kind"] != "patch-out" or entry["actor"].count("/") != 1:
             continue
         added, removed = entry["data"]["added"], entry["data"]["removed"]
         bag.change(map(from_jsonable, added), map(from_jsonable, removed))

@@ -245,11 +245,6 @@ def observe(p) -> Record:
     return rec(OBSERVE, p)
 
 
-def _same_atom(a, b) -> bool:
-    # type identity guards the bool/int overlap in Python's equality
-    return type(a) is type(b) and a == b
-
-
 def is_pattern(p) -> bool:
     """True for wildcards, atoms of the supported kinds, and records thereof."""
     if p is WILDCARD or isinstance(p, (Sym, str, int, bool)):
@@ -298,7 +293,8 @@ def intersect(p, q):
         return q if as_q else p if as_p else Record(p.label, tuple(out))
     if isinstance(q, Record):
         return None
-    return p if _same_atom(p, q) else None
+    # type identity guards the bool/int overlap in Python's equality
+    return p if type(p) is type(q) and p == q else None
 
 
 def matches(p, v) -> bool:

@@ -27,6 +27,7 @@ from dataspace import (
 )
 from dataspace.cli import main as cli_main
 from dataspace.reactive import Assert, Message, On, ReactiveState, forever
+from dataspace.scenarios import MAX_STEPS
 
 
 def _report(n, text):
@@ -180,10 +181,10 @@ def test_criterion_6_visibility_oracle_equivalence():
     for name in SCENARIOS:
         for seed in range(500):
             rng = random.Random(seed)
-            run_scenario(
-                name,
-                oracle=True,
-                picker=lambda n, rng=rng: rng.randrange(n),
+            net = new_network()
+            SCENARIOS[name](net)
+            net.run_until_quiescent(
+                MAX_STEPS, pick=rng.randrange, after_step=net.check_visibility
             )
             runs += 1
     assert runs == 6 * 500

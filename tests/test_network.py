@@ -25,6 +25,7 @@ from dataspace import (
     Sym,
     VisibilityMismatch,
     WILDCARD,
+    aggregate_snapshots,
     interests_of,
     is_ground,
     new_network,
@@ -418,6 +419,19 @@ def test_dispatch_empty_queue_is_quiescent():
     assert new_network().dispatch_one() is False
 
 
+def test_a_dispatch_budget_must_be_positive():
+    with pytest.raises(ValueError, match="max_steps must be positive"):
+        new_network().run_until_quiescent(0)
+
+
+def test_terminating_an_unknown_actor_does_nothing():
+    net = new_network()
+    net.spawn(idle, None)
+    before = list(net.trace.entries)
+    net.terminate_actor((7,))
+    assert net.trace.entries == before and list(net.actors) == [(0,)]
+
+
 def test_determinism_identical_traces():
     def run():
         net = new_network()
@@ -514,6 +528,48 @@ def test_terminating_a_nested_network_quits_its_nested_networks_innermost_first(
     ]
     assert not inner.actors and not inner.queue
     net.check_visibility()
+
+
+def test_a_stale_nested_tick_is_a_dispatch_that_does_nothing():
+    # the inner actor sends ping, which it observes itself, and quits in the
+    # same step: its quit drops the queued ping, so the tick that ping queued
+    # in the ground network finds the inner queue empty
+    net = new_network()
+    inner = net.spawn_nested()
+    go, ping = Sym("go"), Sym("ping")
+
+    def step(event, state):
+        return Continue(state, [MessageAction(ping), QUIT])
+
+    startup = [PatchAction(Patch({observe(go), observe(ping)}, ())), MessageAction(go)]
+    inner.spawn(step, None, startup)
+    assert net.run_until_quiescent(10, after_step=net.check_visibility) == 2
+    interests = [["observe", "'go"], ["observe", "'ping"]]
+    assert [(e["actor"], e["kind"], e["data"]) for e in net.trace.entries] == [
+        ("g/0", "spawn", None),
+        ("g/0/0", "spawn", None),
+        ("g/0/0", "patch-out", {"added": interests, "removed": []}),
+        ("g/0/0", "message", "'go"),
+        ("g/0/0", "message", "'ping"),
+        ("g/0/0", "patch-out", {"added": [], "removed": interests}),
+        ("g/0/0", "quit", None),
+    ]
+    assert not inner.actors and not inner.queue and not net.queue
+    net.check_visibility()
+
+
+def test_trace_replay_holds_only_the_ground_dataspace():
+    # a nested dataspace is private, and terminating its network writes no
+    # retractions, so replaying its actors' patches would keep (account 70)
+    net = new_network()
+    inner = net.spawn_nested()
+    build_bank_account_plain(inner)
+    net.spawn(idle, None, [PatchAction(Patch({rec("account", 5)}, ()))])
+    net.run_until_quiescent(200)
+    net.terminate_actor(inner.path)
+    snaps = aggregate_snapshots(net.trace.lines(), rec("account", WILDCARD))
+    assert snaps == [frozenset(), frozenset({rec("account", 5)})]
+    assert snaps[-1] == frozenset(net.aggregate)
 
 
 def test_one_and_true_are_distinct_assertions():

@@ -66,6 +66,15 @@ def test_script_sends_then_quits():
     assert trace_kinds(net) == ["spawn", "message", "quit"]
 
 
+def test_a_context_kept_past_its_step_refuses_effects():
+    net = new_network()
+    kept = []
+    reactive_actor(net, kept.append)
+    net.run_until_quiescent(10)
+    with pytest.raises(RuntimeError, match="outside an actor step"):
+        kept[0].send(Sym("late"))
+
+
 def test_script_failure_crashes_actor():
     net = new_network()
 

@@ -186,6 +186,13 @@ def test_canonical_form_and_copies_give_back_the_same_object(v):
         assert pickle.loads(pickle.dumps(v)) is v
 
 
+@pytest.mark.parametrize("hole", [Capture(rec("a", 1)), Bind("x")])
+def test_a_pattern_hole_copies_and_pickles_to_itself(hole):
+    assert copy.copy(hole) is hole
+    assert copy.deepcopy(hole) is hole
+    assert pickle.loads(pickle.dumps(hole)) is hole
+
+
 @given(st.lists(TYPED_RECORDS, max_size=8))
 def test_distinct_canonical_texts_are_distinct_members_and_bag_keys(vs):
     texts = Counter(canonical_encode(v) for v in vs)
