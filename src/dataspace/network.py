@@ -110,7 +110,8 @@ _TICK = object()
 
 
 def _step_nested(tick, child: "Network") -> None:
-    # the behaviour of a nested network actor: one child dispatch per tick
+    # the behaviour of a nested network actor, whose state is the child
+    # network: one child dispatch per tick
     child._tick_pending = False
     child.dispatch_one()
     if child.queue:
@@ -124,7 +125,6 @@ class _ActorEntry:
     asserted: frozenset = frozenset()
     # visible assertion -> how many of this actor's interests intersect it
     seen: Bag = field(default_factory=Bag)
-    nested: Optional["Network"] = None
 
     @property
     def last_visible(self) -> frozenset:
@@ -198,8 +198,8 @@ class Network:
     def spawn_nested(self) -> "Network":
         """Create a network actor, stepped by _step_nested, with a private dataspace."""
         entry = _ActorEntry(behaviour=_step_nested, state=None)
-        entry.state = entry.nested = Network(_path=self._register(entry), _parent=self)
-        return entry.nested
+        entry.state = Network(_path=self._register(entry), _parent=self)
+        return entry.state
 
     def _register(self, entry: _ActorEntry) -> tuple[int, ...]:
         aid = (*self.path, self._next_index)
@@ -219,8 +219,8 @@ class Network:
         if entry is None:
             return
         self._apply_actor_patch(aid, Patch(frozenset(), entry.asserted))
-        if entry.nested is not None:
-            entry.nested._finalize_subtree()
+        if entry.behaviour is _step_nested:
+            entry.state._finalize_subtree()
         del self.actors[aid]
         if self.queue:
             self.queue = deque((b, e) for (b, e) in self.queue if b != aid)
@@ -230,8 +230,8 @@ class Network:
         # The containing network actor is going away: the private dataspace
         # vanishes wholesale, so no retraction protocol runs inside it.
         for cid, entry in self.actors.items():
-            if entry.nested is not None:
-                entry.nested._finalize_subtree()
+            if entry.behaviour is _step_nested:
+                entry.state._finalize_subtree()
             self.trace.emit(self._label(cid), "quit", None)
         self.actors.clear()
         self.aggregate.clear()
@@ -401,8 +401,8 @@ class Network:
                         f"visible-count drift at {self._label(bid)}: "
                         f"{a!r} counted {entry.seen[a]}, not {n}"
                     )
-            if entry.nested is not None:
-                entry.nested.check_visibility()
+            if entry.behaviour is _step_nested:
+                entry.state.check_visibility()
 
 
 def new_network() -> Network:

@@ -2,7 +2,9 @@
 
 Each entry is a flat JSON object {seq, actor, kind, data}; assertion sets
 inside patches are sorted by the canonical ordering so two runs of the same
-program serialize byte-identically.
+program serialize byte-identically.  A line is put together from its parts'
+texts, each record's from the text its form caches, and reads exactly as
+``json.dumps(entry, separators=(",", ":"))`` would write it.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 from .patches import Bag, Patch
-from .values import from_jsonable, intersect, sort_patterns, to_jsonable
+from .values import from_jsonable, intersect, json_text, sort_patterns, to_jsonable
 
 __all__ = ["TraceLog", "aggregate_snapshots", "patch_jsonable"]
 
@@ -28,7 +30,23 @@ class TraceLog:
         )
 
     def lines(self) -> list[str]:
-        return [json.dumps(e, separators=(",", ":")) for e in self.entries]
+        return [
+            f'{{"seq":{e["seq"]},"actor":{json_text(e["actor"])},'
+            f'"kind":{json_text(e["kind"])},"data":{_data_text(e["data"])}}}'
+            for e in self.entries
+        ]
+
+
+def _data_text(data) -> str:
+    # a patch's data is joined from its forms' texts; other data is encoded whole
+    if type(data) is dict and tuple(data) == ("added", "removed"):
+        added, removed = data["added"], data["removed"]
+        if type(added) is list and type(removed) is list:
+            return (
+                f'{{"added":[{",".join(map(json_text, added))}],'
+                f'"removed":[{",".join(map(json_text, removed))}]}}'
+            )
+    return json_text(data)
 
 
 def patch_jsonable(p: Patch) -> dict:

@@ -12,7 +12,9 @@ are identity, which makes them cheap and type-strict all the way down: the
 record ``(a 1)`` is not ``(a #t)``, as in canonical text.  Bare atoms are
 Python's own ``str``, ``int`` and ``bool``, so a bare ``1`` still equals
 ``True``; the network therefore accepts only records and the wildcard as
-assertions.  A record caches its canonical sort key and JSON form.
+assertions.  A record caches its canonical sort key and JSON form, and the
+form keeps its canonical text once it is first rendered, so a trace writes
+each record's text once however often the record appears.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ __all__ = [
     "intersect",
     "is_ground",
     "is_pattern",
+    "json_text",
     "matches",
     "observe",
     "project_assertions",
@@ -370,18 +373,44 @@ def compile_surface(sp):
     return erase(extraction), extraction, tuple(names)
 
 
+# the one encoder of canonical text: json.dumps builds a new encoder per call
+# when given separators
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+class _Form(list):
+    """A record's canonical JSON form; ``text`` holds its canonical text once rendered."""
+
+    __slots__ = ("text",)
+
+
+def json_text(form) -> str:
+    """Compact JSON text of a JSON-ready form, as ``json.dumps(form,
+    separators=(",", ":"))`` writes it; a record's form renders once."""
+    if type(form) is _Form:
+        try:
+            return form.text
+        except AttributeError:
+            form.text = text = _encode(form)
+            return text
+    return _encode(form)
+
+
 def to_jsonable(p):
     """Canonical JSON-ready form: symbols quote-prefixed, records as arrays.
 
-    A record's form is computed once and shared by every later call, so it
-    must not be mutated.  A form that raises is never cached.
+    A record's form is a list computed once and shared by every later call,
+    together with its canonical text once rendered, so it must not be
+    mutated.  A form that raises is never cached.  An integer whose decimal
+    digits pass ``sys.get_int_max_str_digits()`` is refused here, since no
+    text could render it.
     """
     if isinstance(p, Record):
         form = p._json
         if form is None:
             if p.label.name == "?!":
                 raise ValueError("record label '?!' collides with the capture marker")
-            form = [p.label.name, *(to_jsonable(f) for f in p.fields)]
+            form = _Form([p.label.name, *map(to_jsonable, p.fields)])
             _set(p, "_json", form)
         return form
     if p is WILDCARD:
@@ -389,6 +418,12 @@ def to_jsonable(p):
     if isinstance(p, bool):
         return p
     if isinstance(p, int):
+        # no digit limit is below 640, and 2,000 bits make at most 603 digits
+        if p.bit_length() > 2000:
+            try:
+                int.__repr__(p)
+            except ValueError as exc:  # past sys.get_int_max_str_digits()
+                raise ValueError(f"integer atom too long for canonical text: {exc}") from None
         return p
     if isinstance(p, str):
         if p == "_" or p.startswith("'"):
@@ -425,15 +460,15 @@ def from_jsonable(x):
 
 
 def canonical_encode(p) -> str:
-    """Render a pattern as canonical text (compact JSON)."""
-    return json.dumps(to_jsonable(p), separators=(",", ":"))
+    """Render a pattern as canonical text (compact JSON); a record's is cached."""
+    return json_text(to_jsonable(p))
 
 
 def canonical_decode(text: str):
     """Parse canonical text back into a pattern."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to read
         raise MalformedText(str(exc)) from exc
     return from_jsonable(data)
 

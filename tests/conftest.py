@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import json
+import sys
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import settings
 
 from dataspace import (
@@ -49,6 +52,29 @@ def pattern_strategy(allow_wildcard=True, max_leaves=8, atoms=ATOM_VOCAB):
 
 def value_strategy(max_leaves=8, atoms=ATOM_VOCAB):
     return pattern_strategy(allow_wildcard=False, max_leaves=max_leaves, atoms=atoms)
+
+
+# any string the canonical grammar admits as a string atom or a label:
+# non-ASCII, control characters, quotes and backslashes included
+TEXT_ATOMS = st.text().filter(lambda s: s != "_" and not s.startswith("'"))
+
+
+def text_value_strategy(max_leaves=8):
+    """Values whose string atoms and labels are arbitrary text, in nested records."""
+    return st.recursive(
+        TEXT_ATOMS | st.integers() | st.booleans() | st.builds(Sym, st.text()),
+        lambda children: st.builds(
+            lambda label, fields: rec(label, *fields),
+            st.text().filter(lambda s: s != "?!"),
+            st.lists(children, min_size=0, max_size=3),
+        ),
+        max_leaves=max_leaves,
+    )
+
+
+def oracle_lines(trace):
+    """The renderer the cached texts replaced: ``json.dumps`` of each entry."""
+    return [json.dumps(e, separators=(",", ":")) for e in trace.entries]
 
 
 def ground_universe(atoms=("novel.txt", "x", 0, Sym("s")), labels=("file", "observe")):
@@ -112,3 +138,15 @@ def brute_force_project(assertions, proj):
             caps = tuple(subtree_at(a, p) for p in paths)
             out[tuple(map(canonical_encode, caps))] = caps
     return sorted(out.values(), key=lambda caps: tuple(map(canonical_key, caps)))
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Python's default limit on the digits of an integer written as text,
+    set for the test and restored after it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python writes integers of any length as text")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)

@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from conftest import oracle_lines
 from dataspace import (
     Capture,
     Continue,
@@ -33,7 +34,9 @@ from dataspace import (
     rec,
     visible,
 )
+from dataspace.network import _step_nested
 from dataspace.scenarios import build_bank_account_plain
+from dataspace.values import to_jsonable
 
 
 def account(x):
@@ -670,7 +673,7 @@ def run_random_program(seed, oracle=True):
         host.spawn(player, (random.Random(rng.random()), 3), [random_action(rng)])
     for _ in range(20):
         host = rng.choice((net, inner))
-        players = [aid for aid, e in host.actors.items() if e.nested is None]
+        players = [aid for aid, e in host.actors.items() if e.behaviour is not _step_nested]
         if players:
             host.interpret_action(rng.choice(players), random_action(rng, budget=2))
         net.run_until_quiescent(2000, pick=rng.randrange, after_step=after_step)
@@ -688,6 +691,75 @@ def test_visibility_oracle_under_randomized_dispatch():
         net = run_random_program(seed)
         net.check_visibility()
         assert not [e for e in net.trace.entries if e["kind"] == "crash"], seed
+
+
+def test_trace_lines_of_random_programs_are_the_json_dumps_of_each_entry():
+    for seed in range(300):
+        net = run_random_program(seed, oracle=False)
+        assert net.trace.lines() == oracle_lines(net.trace), seed
+
+
+def test_trace_lines_render_every_entry_kind_exactly():
+    odd = '"q" \\b \u00e9 \x00 \u2028'  # a quote, a backslash, non-ASCII, controls
+
+    def fragile(event, state):
+        if isinstance(event, MessageEvent):
+            raise RuntimeError(odd)
+
+    net = new_network()
+    watcher = net.spawn(idle, None, [PatchAction(Patch({observe(rec("note", WILDCARD))}, ()))])
+    net.spawn(
+        fragile,
+        None,
+        [
+            PatchAction(Patch({rec("note", odd), rec("note", Sym(odd)), observe(rec("poke"))}, ())),
+            MessageAction(rec("note", odd, -7, True)),
+            OutputAction(odd),
+            OutputAction(rec("note", False, Sym("s"))),
+        ],
+    )
+    inner = net.spawn_nested()
+    inner.spawn(idle, None, [PatchAction(Patch({rec("note", 0)}, ()))])
+    net.run_until_quiescent(20)
+    net.interpret_action(watcher, MessageAction(rec("poke")))
+    net.run_until_quiescent(20)
+    net.interpret_action(watcher, QUIT)
+    # any caller of emit: other data, other key orders, other types
+    for data in (
+        {"removed": [], "added": [1]},
+        {"added": "ab", "removed": ()},
+        {"added": [[to_jsonable(rec("x"))]], "removed": [{"k": None}]},
+        {1: odd, "k": [1.5, -0.0]},
+        (1, [odd]),
+    ):
+        net.trace.emit(odd, odd, data)
+    kinds = {e["kind"] for e in net.trace.entries}
+    assert kinds >= {"spawn", "patch-out", "patch-in", "message", "event-message", "crash", "quit"}
+    assert [e["data"] for e in net.trace.entries if e["kind"] == "crash"] == [f"RuntimeError: {odd}"]
+    assert net.trace.lines() == oracle_lines(net.trace)
+
+
+@pytest.mark.parametrize(
+    "action",
+    [lambda v: PatchAction(Patch({v}, ())), MessageAction, OutputAction],
+    ids=["assert", "send", "display"],
+)
+def test_an_integer_too_long_for_the_trace_crashes_the_actor_alone(action, int_digit_limit):
+    net = new_network()
+    peer = net.spawn(idle, None, [PatchAction(Patch({observe(rec("big", WILDCARD))}, ()))])
+    aid = net.spawn(
+        idle, None, [PatchAction(Patch({rec("ok", 1)}, ())), action(rec("big", 10**int_digit_limit))]
+    )
+    net.run_until_quiescent(10)
+    [detail] = [e["data"] for e in net.trace.entries if e["kind"] == "crash"]
+    assert detail.startswith("ValueError: integer atom too long for canonical text")
+    assert aid not in net.actors and peer in net.actors
+    assert set(net.aggregate) == {observe(rec("big", WILDCARD))}
+    net.check_visibility()
+    # the trace still renders, and replays
+    lines = net.trace.lines()
+    assert lines == oracle_lines(net.trace)
+    assert aggregate_snapshots(lines, WILDCARD)[-1] == frozenset(net.aggregate)
 
 
 def test_aggregate_matches_per_actor_sets_at_quiescence():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import oracle_lines
 from dataspace import (
     SCENARIOS,
     MessageAction,
@@ -283,6 +284,12 @@ def test_step_budget_is_exactly_the_dispatches_a_scenario_needs(name):
     assert fresh().run_until_quiescent(steps) == steps
     with pytest.raises(NonQuiescent):
         fresh().run_until_quiescent(steps - 1)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_trace_lines_are_the_json_dumps_of_each_entry(name):
+    net, lines = run_scenario(name)
+    assert lines == oracle_lines(net.trace)
 
 
 def test_every_scenario_replays_byte_identically_after_allocation_churn():

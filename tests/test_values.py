@@ -1,5 +1,6 @@
 import copy
 import gc
+import json
 import pickle
 import sys
 import threading
@@ -14,8 +15,10 @@ from conftest import (
     brute_force_project,
     ground_universe,
     match_set,
+    oracle_lines,
     oracle_matches,
     pattern_strategy,
+    text_value_strategy,
     value_strategy,
 )
 from dataspace import (
@@ -40,7 +43,7 @@ from dataspace import (
     project_assertions,
     rec,
 )
-from dataspace import values
+from dataspace import TraceLog, values
 from dataspace.values import from_jsonable, to_jsonable
 
 
@@ -421,6 +424,32 @@ def test_canonical_encode_rejects_colliding_strings():
         for _ in range(2):
             with pytest.raises(ValueError):
                 canonical_encode(bad)
+
+
+@given(text_value_strategy())
+def test_canonical_text_is_the_compact_json_of_the_form_cold_and_warm(v):
+    want = json.dumps(to_jsonable(v), separators=(",", ":"))
+    # the first call renders a record's text (unless an earlier example did),
+    # the second reads it back
+    assert canonical_encode(v) == canonical_encode(v) == want
+    trace = TraceLog()
+    trace.emit("g/0", "message", to_jsonable(v))
+    trace.emit("g/0", "patch-out", {"added": [to_jsonable(rec("in", v))], "removed": []})
+    cold = trace.lines()
+    assert cold == trace.lines() == oracle_lines(trace)
+    assert canonical_decode(want) == v
+
+
+def test_an_integer_too_long_to_write_is_refused(int_digit_limit):
+    widest = 10**int_digit_limit - 1  # as many digits as the limit allows
+    for ok in (widest, -widest, rec("big", widest)):
+        assert canonical_decode(canonical_encode(ok)) == ok
+    for bad in (widest + 1, -widest - 1, rec("big", widest + 1)):
+        for _ in range(2):  # a form that raises is not cached
+            with pytest.raises(ValueError, match="too long for canonical text"):
+                to_jsonable(bad)
+    with pytest.raises(MalformedText):
+        canonical_decode("1" * 5000)
 
 
 @given(pattern_strategy())
