@@ -125,6 +125,7 @@ class _ActorEntry:
     asserted: frozenset = frozenset()
     # visible assertion -> how many of this actor's interests intersect it
     seen: Bag = field(default_factory=Bag)
+    label: str = ""  # the actor's name in trace entries, set by _register
 
     @property
     def last_visible(self) -> frozenset:
@@ -205,7 +206,8 @@ class Network:
         aid = (*self.path, self._next_index)
         self._next_index += 1
         self.actors[aid] = entry
-        self.trace.emit(self._label(aid), "spawn", None)
+        entry.label = self._label(aid)
+        self.trace.emit(entry.label, "spawn", None)
         return aid
 
     def terminate_actor(self, aid: tuple[int, ...], crash: Optional[str] = None) -> None:
@@ -224,15 +226,15 @@ class Network:
         del self.actors[aid]
         if self.queue:
             self.queue = deque((b, e) for (b, e) in self.queue if b != aid)
-        self.trace.emit(self._label(aid), "quit" if crash is None else "crash", crash)
+        self.trace.emit(entry.label, "quit" if crash is None else "crash", crash)
 
     def _finalize_subtree(self) -> None:
         # The containing network actor is going away: the private dataspace
         # vanishes wholesale, so no retraction protocol runs inside it.
-        for cid, entry in self.actors.items():
+        for entry in self.actors.values():
             if entry.behaviour is _step_nested:
                 entry.state._finalize_subtree()
-            self.trace.emit(self._label(cid), "quit", None)
+            self.trace.emit(entry.label, "quit", None)
         self.actors.clear()
         self.aggregate.clear()
         self.support.clear()
@@ -241,13 +243,13 @@ class Network:
 
     # -- action interpretation ----------------------------------------------
 
-    def _run_actor(self, aid: tuple[int, ...], step: Callable[[], Any]) -> None:
-        # The one crash boundary: step runs the actor's code, and everything
-        # that goes wrong from there to the end of its action list (a raise,
-        # a step result that is not Continue/None, a bad action, a
+    def _run_actor(self, aid: tuple[int, ...], step: Callable, *args) -> None:
+        # The one crash boundary: step(*args) runs the actor's code, and
+        # everything that goes wrong from there to the end of its action list
+        # (a raise, a step result that is not Continue/None, a bad action, a
         # non-value) terminates the actor alone with a crash entry.
         try:
-            result = step()
+            result = step(*args)
             if result is None:
                 return
             if not isinstance(result, Continue):
@@ -276,6 +278,12 @@ class Network:
             raise TypeError(f"unknown action: {action!r}")
 
     def _apply_actor_patch(self, aid, patch: Patch) -> None:
+        """Apply an actor's patch and fan the change out to its receivers.
+
+        Each receiver's seen bag takes its claims and releases; receivers
+        whose seen-bag change is equal share one PatchEvent, and so, through
+        the patch's cached trace form, one patch-in ``data`` object.
+        """
         entry = self.actors[aid]
         clamped = clamp_patch(patch, entry.asserted)
         if clamped.is_empty():
@@ -293,35 +301,43 @@ class Network:
                 raise TypeError(f"bare atom asserted: {a!r}")
         entry.asserted = apply_patch(entry.asserted, clamped)
         change = self.aggregate.change(clamped.added, clamped.removed)
-        self.trace.emit(self._label(aid), "patch-out", encoded)
+        self.trace.emit(entry.label, "patch-out", encoded)
+        events: dict = {}  # (added, removed) -> the one event for that change
         # aids only grow, so sorted order is the actor table's order
         for bid, (claims, releases) in route(
             self.support, self.interests, aid, clamped, change
         ).items():
             seen = self.actors[bid].seen.change(claims, releases)
             if not seen.is_empty():
-                self._enqueue(bid, PatchEvent(seen))
+                key = (seen.added, seen.removed)
+                event = events.get(key)
+                if event is None:
+                    event = events[key] = PatchEvent(seen)
+                self._enqueue(bid, event)
 
     def _emit_ground(self, aid, kind: str, value) -> None:
         # messages and displayed output carry ground values only
         if not is_ground(value):
             raise ValueError(f"non-ground {kind}: {value!r}")
-        self.trace.emit(self._label(aid), kind, to_jsonable(value))
+        self.trace.emit(self.actors[aid].label, kind, to_jsonable(value))
 
     def _send_message(self, sender, body) -> None:
         self._emit_ground(sender, "message", body)
         receivers = {bid for bid, p in self.interests.candidates(body) if matches(p, body)}
+        event = MessageEvent(body)  # one event for every receiver
         for bid in sorted(receivers):
-            self._enqueue(bid, MessageEvent(body))
+            self._enqueue(bid, event)
 
     # -- scheduling -----------------------------------------------------------
 
     def _enqueue(self, aid, event) -> None:
         self.queue.append((aid, event))
-        self._notify_parent()
+        if self._parent is not None:  # the ground network has no one to tell
+            self._notify_parent()
 
     def _notify_parent(self) -> None:
-        if self._parent is not None and not self._tick_pending:
+        # only a nested network, which has a parent, calls this
+        if not self._tick_pending:
             self._tick_pending = True
             self._parent._enqueue(self.path, _TICK)
 
@@ -340,8 +356,8 @@ class Network:
         del self.queue[i]
         entry = self.actors[aid]
         if isinstance(event, PatchEvent):
-            self.trace.emit(self._label(aid), "patch-in", patch_jsonable(event.patch))
-        self._run_actor(aid, lambda: entry.behaviour(event, entry.state))
+            self.trace.emit(entry.label, "patch-in", patch_jsonable(event.patch))
+        self._run_actor(aid, entry.behaviour, event, entry.state)
         return True
 
     def run_until_quiescent(self, max_steps: int, *, pick=None, after_step=None) -> int:

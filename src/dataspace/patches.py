@@ -12,9 +12,9 @@ network's oracle compares it with what the indexes delivered.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable
+from typing import Any, Iterable
 
 from .values import OBSERVE, WILDCARD, Record, intersect
 
@@ -36,15 +36,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Patch:
-    """Disjoint added/removed assertion sets."""
+    """Disjoint added/removed assertion sets.
+
+    ``_json`` holds the patch's trace form once ``tracing.patch_jsonable`` has
+    computed it, so every trace entry made from one patch shares one form; it
+    takes no part in equality, hashing or ``repr``.
+    """
 
     added: frozenset
     removed: frozenset
+    _json: Any = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "added", frozenset(self.added))
-        object.__setattr__(self, "removed", frozenset(self.removed))
-        if self.added & self.removed:
+        if type(self.added) is not frozenset:
+            object.__setattr__(self, "added", frozenset(self.added))
+        if type(self.removed) is not frozenset:
+            object.__setattr__(self, "removed", frozenset(self.removed))
+        if not self.added.isdisjoint(self.removed):
             raise ValueError("patch adds and removes the same assertion")
 
     def is_empty(self) -> bool:

@@ -50,10 +50,20 @@ def _data_text(data) -> str:
 
 
 def patch_jsonable(p: Patch) -> dict:
-    return {
-        "added": [to_jsonable(a) for a in sort_patterns(p.added)],
-        "removed": [to_jsonable(a) for a in sort_patterns(p.removed)],
-    }
+    """A patch's trace form: its added and removed forms, each in canonical order.
+
+    The form is computed once per patch and kept on it, so every entry made
+    from one patch (the ``patch-in`` entries of one fan-out) shares one dict,
+    which must not be mutated.  A form that raises is never kept.
+    """
+    form = p._json
+    if form is None:
+        form = {
+            "added": [to_jsonable(a) for a in sort_patterns(p.added)],
+            "removed": [to_jsonable(a) for a in sort_patterns(p.removed)],
+        }
+        object.__setattr__(p, "_json", form)
+    return form
 
 
 def aggregate_snapshots(trace, lens) -> list[frozenset]:

@@ -467,10 +467,11 @@ def canonical_encode(p) -> str:
 def canonical_decode(text: str):
     """Parse canonical text back into a pattern."""
     try:
-        data = json.loads(text)
+        return from_jsonable(json.loads(text))
     except ValueError as exc:  # a JSONDecodeError, or an integer too long to read
         raise MalformedText(str(exc)) from exc
-    return from_jsonable(data)
+    except RecursionError as exc:  # nested deeper than either walk can recurse
+        raise MalformedText(f"nested too deeply: {exc}") from None
 
 
 def canonical_key(p):

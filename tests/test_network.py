@@ -145,6 +145,33 @@ def test_message_routed_by_interest():
     assert got == [deposit(100)]
 
 
+def test_one_fan_out_shares_one_event_and_one_trace_form():
+    net = new_network()
+    net.spawn(idle, None, [PatchAction(Patch({account(1)}, ()))])
+    # already sees account(1), which the publisher asserts a second copy of
+    seeing = net.spawn(idle, None, [PatchAction(Patch({observe(account(1))}, ()))])
+    interests = Patch({observe(account(2)), observe(deposit(WILDCARD))}, ())
+    observers = [net.spawn(idle, None, [PatchAction(interests)]) for _ in range(3)]
+    publisher = net.spawn(idle, None)
+    net.run_until_quiescent(100)
+    mark = len(net.trace.entries)
+    net.interpret_action(publisher, PatchAction(Patch({account(1), account(2)}, ())))
+    assert [aid for aid, _ in net.queue] == observers  # nothing for seeing
+    events = {id(event) for _, event in net.queue}
+    assert len(events) == 1
+    assert net.queue[0][1] == PatchEvent(Patch({account(2)}, ()))
+    net.run_until_quiescent(100)
+    patch_ins = [e for e in net.trace.entries[mark:] if e["kind"] == "patch-in"]
+    assert len(patch_ins) == 3
+    assert all(e["data"] is patch_ins[0]["data"] for e in patch_ins)
+
+    net.interpret_action(publisher, MessageAction(deposit(5)))
+    assert [aid for aid, _ in net.queue] == observers
+    assert len({id(event) for _, event in net.queue}) == 1
+    net.run_until_quiescent(100)
+    assert net.trace.lines() == oracle_lines(net.trace)
+
+
 def test_sender_receives_own_message_when_self_interested():
     net = new_network()
     got = []

@@ -52,8 +52,10 @@ def patches(draw):
 
 
 def test_patch_disjointness_enforced():
-    with pytest.raises(ValueError):
-        Patch({account(0)}, {account(0)})
+    # frozenset inputs are kept as they are, and still checked
+    for kind in (set, frozenset):
+        with pytest.raises(ValueError):
+            Patch(kind({account(0)}), kind({account(0)}))
 
 
 def test_apply_patch_startup():

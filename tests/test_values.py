@@ -409,7 +409,8 @@ def test_canonical_capture_form():
 
 
 def test_canonical_decode_malformed():
-    for text in ("{", "[]", "[1,2]", "1.5", '["?!","_","_"]', "{}"):
+    deep = ("[" * 100000, '["a",' * 5000 + "1" + "]" * 5000)
+    for text in ("{", "[]", "[1,2]", "1.5", '["?!","_","_"]', "{}", *deep):
         with pytest.raises(MalformedText):
             canonical_decode(text)
 
