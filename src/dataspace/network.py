@@ -18,8 +18,9 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-# delta and interests_of are unused here: the traced benchmark (bench/spans.py)
-# wraps them by this module's name, as it does visible
+# delta, interests_of and matches are unused here: the traced benchmark
+# (bench/spans.py) wraps them by this module's name, as it does visible
+# (Index.matching confirms inside patches, so its matches count reads 0)
 from .patches import (
     Bag,
     Index,
@@ -323,7 +324,7 @@ class Network:
 
     def _send_message(self, sender, body) -> None:
         self._emit_ground(sender, "message", body)
-        receivers = {bid for bid, p in self.interests.candidates(body) if matches(p, body)}
+        receivers = {bid for bid, _ in self.interests.matching(body)}
         event = MessageEvent(body)  # one event for every receiver
         for bid in sorted(receivers):
             self._enqueue(bid, event)

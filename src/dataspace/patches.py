@@ -3,17 +3,17 @@
 A patch is a disjoint (added, removed) pair of assertion sets: the sole
 mechanism for changing shared state.  A bag counts how many holders claim
 each assertion; only its support is ever seen.  An index files patterns so
-that a lookup returns only those that can intersect a query, and ``route``
-turns one clamped patch into per-actor claims and releases through two of
-them.  ``visible`` recounts an actor's visible set from scratch; the
-network's oracle compares it with what the indexes delivered.
+that a lookup returns exactly those that intersect a query, confirming with
+``intersect`` only the pairs its keys do not decide, and ``route`` turns one
+clamped patch into per-actor claims and releases through two of them.
+``visible`` recounts an actor's visible set from scratch; the network's
+oracle compares it with what the indexes delivered.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Any, Iterable
 
 from .values import OBSERVE, WILDCARD, Record, intersect
@@ -155,39 +155,52 @@ def _atom_key(a):
 
 
 def _slot_keys(p):
-    # (slot, bucket) a pattern is filed under: a record by label and arity,
-    # then by its first field (an atom, a record's label and arity, or the
-    # wildcard); a top-level wildcard and each bare atom by themselves.
+    # (slot, bucket, settled) a pattern is filed under: a record by label and
+    # arity, then by its first field (an atom, a record's label and arity, or
+    # the wildcard); a top-level wildcard and each bare atom by themselves.
+    # A pattern is settled when its slot and bucket decide every intersection
+    # with it: every pattern is, except a record whose first field is a record
+    # or whose later fields are not all wildcards.
     if isinstance(p, Record):
-        if not p.fields:
-            return (p.label, 0), None
-        f = p.fields[0]
-        return (p.label, len(p.fields)), (
-            (f.label, len(f.fields)) if isinstance(f, Record) else _atom_key(f)
-        )
-    return _atom_key(p), None
+        fields = p.fields
+        if not fields:
+            return (p.label, 0), None, True
+        f, rest = fields[0], fields[1:]
+        if isinstance(f, Record):
+            return (p.label, len(fields)), (f.label, len(f.fields)), False
+        return (p.label, len(fields)), _atom_key(f), rest.count(WILDCARD) == len(rest)
+    return _atom_key(p), None, True
+
+
+_NO_PAIRS = ((), ())  # an absent bucket's (settled, other) pairs
 
 
 class Index:
     """Patterns filed by shape and first field, each under the holder filing it.
 
-    A lookup returns candidates only: every pattern that can intersect the
-    query is among them, and the caller confirms each one.
+    A lookup is exact.  Each bucket keeps its settled pairs apart from the
+    rest: a settled pattern intersects every query that reaches its bucket,
+    and so does any pattern when the query is settled itself; only an
+    unsettled pattern against an unsettled query is confirmed with intersect.
     """
 
     def __init__(self):
-        self._slots: dict = {}  # slot -> bucket -> {(holder, pattern)}
+        self._slots: dict = {}  # slot -> bucket -> ({settled pairs}, {other pairs})
 
     def add(self, p, holder=None) -> None:
-        slot, bucket = _slot_keys(p)
-        self._slots.setdefault(slot, {}).setdefault(bucket, set()).add((holder, p))
+        slot, bucket, settled = _slot_keys(p)
+        buckets = self._slots.setdefault(slot, {})
+        pairs = buckets.get(bucket)
+        if pairs is None:
+            pairs = buckets[bucket] = (set(), set())
+        pairs[not settled].add((holder, p))
 
     def remove(self, p, holder=None) -> None:
-        slot, bucket = _slot_keys(p)
+        slot, bucket, settled = _slot_keys(p)
         buckets = self._slots[slot]
         pairs = buckets[bucket]
-        pairs.remove((holder, p))
-        if not pairs:
+        pairs[not settled].remove((holder, p))
+        if not (pairs[0] or pairs[1]):
             del buckets[bucket]
             if not buckets:
                 del self._slots[slot]
@@ -195,23 +208,27 @@ class Index:
     def clear(self) -> None:
         self._slots.clear()
 
-    def candidates(self, q):
-        """(holder, pattern) pairs whose pattern may intersect q, each pair once."""
+    def matching(self, q) -> list:
+        """The (holder, pattern) pairs whose pattern intersects q, each pair once."""
         if q is WILDCARD:
+            exact = True
             groups = [pairs for buckets in self._slots.values() for pairs in buckets.values()]
         else:
-            slot, bucket = _slot_keys(q)
+            slot, bucket, exact = _slot_keys(q)
             buckets = self._slots.get(slot, {})
             if bucket is WILDCARD:
                 groups = list(buckets.values())
             else:  # an atom or a zero-field record has no wildcard bucket
-                groups = [buckets.get(bucket, ()), buckets.get(WILDCARD, ())]
+                groups = [buckets.get(bucket, _NO_PAIRS), buckets.get(WILDCARD, _NO_PAIRS)]
             groups.extend(self._slots.get(WILDCARD, {}).values())
-        return chain.from_iterable(groups)
-
-
-def _intersecting(index: Index, q):
-    return [(h, p) for h, p in index.candidates(q) if intersect(p, q) is not None]
+        found = []
+        for settled, other in groups:
+            found.extend(settled)
+            if exact:
+                found.extend(other)
+            elif other:
+                found.extend(pair for pair in other if intersect(pair[1], q) is not None)
+        return found
 
 
 def route(support: Index, interests: Index, holder, own: Patch, change: Patch) -> dict:
@@ -222,23 +239,24 @@ def route(support: Index, interests: Index, holder, own: Patch, change: Patch) -
     for it.  A holder claims an assertion once for each of its interests that
     starts to intersect it and releases it once for each that stops, so its
     visible bag counts the interests intersecting each assertion.  Holders
-    come in sorted order.
+    come in sorted order.  Both lookups are exact (:meth:`Index.matching`),
+    so nothing is confirmed here.
     """
     claims, releases = defaultdict(list), defaultdict(list)
     # the order of the four steps makes each (assertion, interest) pair that
     # appears or vanishes count exactly once
     for a in change.removed:  # lost support, against every interest held before
         support.remove(a)
-        for h, _ in _intersecting(interests, a):
+        for h, _ in interests.matching(a):
             releases[h].append(a)
     for p in observed(own.removed):  # dropped interests, against surviving support
         interests.remove(p, holder)
-        releases[holder].extend(a for _, a in _intersecting(support, p))
+        releases[holder].extend(a for _, a in support.matching(p))
     for a in change.added:  # new support, against the interests that stay
         support.add(a)
-        for h, _ in _intersecting(interests, a):
+        for h, _ in interests.matching(a):
             claims[h].append(a)
     for p in observed(own.added):  # new interests, against all support after
         interests.add(p, holder)
-        claims[holder].extend(a for _, a in _intersecting(support, p))
+        claims[holder].extend(a for _, a in support.matching(p))
     return {h: (claims[h], releases[h]) for h in sorted(claims.keys() | releases.keys())}

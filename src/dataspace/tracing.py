@@ -13,7 +13,14 @@ import json
 from dataclasses import dataclass, field
 
 from .patches import Bag, Patch
-from .values import from_jsonable, intersect, json_text, sort_patterns, to_jsonable
+from .values import (
+    from_jsonable,
+    intersect,
+    json_text,
+    reading_text,
+    sort_patterns,
+    to_jsonable,
+)
 
 __all__ = ["TraceLog", "aggregate_snapshots", "patch_jsonable"]
 
@@ -74,15 +81,21 @@ def aggregate_snapshots(trace, lens) -> list[frozenset]:
     restricted to lens-matching assertions, collapsing consecutive
     duplicates; a nested network's dataspace is private, so its actors'
     entries are skipped.  Actor identities are otherwise erased.  Raises
-    KeyError when the trace retracts something it never asserted.
+    MalformedText, as canonical_decode does, on a line that is not JSON or
+    nests too deeply to read, and KeyError when the trace retracts something
+    it never asserted.
     """
     bag = Bag()
     snaps = [frozenset()]
-    for entry in map(json.loads, trace):
-        if entry["kind"] != "patch-out" or entry["actor"].count("/") != 1:
-            continue
-        added, removed = entry["data"]["added"], entry["data"]["removed"]
-        bag.change(map(from_jsonable, added), map(from_jsonable, removed))
+    for line in trace:
+        with reading_text():
+            entry = json.loads(line)
+            if entry["kind"] != "patch-out" or entry["actor"].count("/") != 1:
+                continue
+            data = entry["data"]
+            added = [from_jsonable(a) for a in data["added"]]
+            removed = [from_jsonable(a) for a in data["removed"]]
+        bag.change(added, removed)
         cur = frozenset(a for a in bag if intersect(lens, a) is not None)
         if cur != snaps[-1]:
             snaps.append(cur)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import threading
 import weakref
+from contextlib import contextmanager
 from typing import Iterable
 
 __all__ = [
@@ -464,14 +465,21 @@ def canonical_encode(p) -> str:
     return json_text(to_jsonable(p))
 
 
-def canonical_decode(text: str):
-    """Parse canonical text back into a pattern."""
+@contextmanager
+def reading_text():
+    """Turn a failure to read JSON text, or its canonical forms, into MalformedText."""
     try:
-        return from_jsonable(json.loads(text))
+        yield
     except ValueError as exc:  # a JSONDecodeError, or an integer too long to read
         raise MalformedText(str(exc)) from exc
     except RecursionError as exc:  # nested deeper than either walk can recurse
         raise MalformedText(f"nested too deeply: {exc}") from None
+
+
+def canonical_decode(text: str):
+    """Parse canonical text back into a pattern."""
+    with reading_text():
+        return from_jsonable(json.loads(text))
 
 
 def canonical_key(p):

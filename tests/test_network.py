@@ -620,7 +620,7 @@ def test_one_and_true_are_distinct_assertions():
 
 
 def test_colliding_values_route_through_the_index():
-    # (a 1) and (a #t) share an index bucket but are two assertions: C, who
+    # (a 1) and (a #t) share an index slot but are two assertions: C, who
     # observes (a #t), sees B's record come and go and never A's
     net = new_network()
     seen = []
@@ -640,8 +640,8 @@ def test_colliding_values_route_through_the_index():
 
 
 def test_equal_interests_of_different_types_are_confirmed_per_holder():
-    # (a #t) and (a 1) share an index bucket; each holder is confirmed with
-    # its own pattern, as the recount does
+    # (a #t) and (a 1) share an index slot but are filed in buckets keyed by
+    # type, so each holder gets what its own pattern matches, as the recount does
     net = new_network()
     c = net.spawn(idle, None, [PatchAction(Patch({observe(rec("a", True))}, ()))])
     d = net.spawn(idle, None, [PatchAction(Patch({observe(rec("a", 1))}, ()))])
@@ -654,12 +654,15 @@ def test_equal_interests_of_different_types_are_confirmed_per_holder():
 
 
 # what the random programs observe and send: every kind of slot and bucket
-# the routing index files a pattern under, and 1 beside #t; bare atoms are
-# observed and sent but not asserted, since asserting one crashes the actor
+# the routing index files a pattern under, settled and not, and 1 beside #t;
+# bare atoms are observed and sent but not asserted, since asserting one
+# crashes the actor
 ROUTED = (
     WILDCARD, 0, 1, True, "s", Sym("s"),
     rec("z"), rec("a", 1), rec("a", True), rec("a", WILDCARD), rec("a", rec("z")),
     rec("r", rec("a", 1), 2), rec("r", rec("a", WILDCARD), WILDCARD), rec("r", WILDCARD, 2),
+    rec("r", 1, WILDCARD), rec("r", True, WILDCARD), rec("r", WILDCARD, WILDCARD), rec("r", 1, 2),
+    rec("r", WILDCARD, 3),
     observe(rec("a", WILDCARD)),
 )  # fmt: skip
 INTERESTS = tuple(observe(p) for p in ROUTED) + (observe(observe(WILDCARD)),)
@@ -837,11 +840,15 @@ CONFIRMING = (
 )
 
 
-def routing_work(n) -> list:
-    """Counted confirmations for one assert, retract and message among n observers."""
+def routing_work(n, last=WILDCARD) -> list:
+    """Counted confirmations for one assert, retract and message among n observers.
+
+    Observer i observes (k i last): settled, so confirmed by no call, when last
+    is the wildcard.
+    """
     net = new_network()
     for i in range(n):
-        net.spawn(idle, None, [PatchAction(Patch({observe(rec("k", i, WILDCARD))}, ()))])
+        net.spawn(idle, None, [PatchAction(Patch({observe(rec("k", i, last))}, ()))])
     publisher = net.spawn(idle, None)
     net.run_until_quiescent(2 * n)
     calls, originals = [], []
@@ -868,11 +875,12 @@ def routing_work(n) -> list:
 
 
 def test_routing_work_does_not_grow_with_observers():
-    assert routing_work(50) == routing_work(400)
+    assert routing_work(50) == routing_work(400) == [0, 0, 0]
+    assert routing_work(50, "r") == routing_work(400, "r") == [1, 1, 1]
     # nor on set layout: the same counts under two hash seeds
     here = Path(__file__).resolve().parent
     path = os.pathsep.join([str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")])
-    code = "from test_network import routing_work; print(routing_work(50), routing_work(400))"
+    code = "from test_network import routing_work as w; print(w(50, 'r'), w(400, 'r'))"
     outs = [
         subprocess.run(
             [sys.executable, "-c", code],
@@ -884,6 +892,40 @@ def test_routing_work_does_not_grow_with_observers():
         for seed in ("0", "1")
     ]
     assert outs[0] == outs[1]
+
+
+def test_a_settled_interest_is_routed_without_confirming(monkeypatch):
+    # (topic t _) and (topic _ _) are decided by the index bucket they are
+    # filed under, so routing to them confirms nothing; (r (a 1) _) and
+    # (r (a 2) _) share a bucket that does not decide them, so each is confirmed
+    confirmed = []
+    for module, name in CONFIRMING:
+        module = importlib.import_module(f"dataspace.{module}")
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda p, q, fn=fn: confirmed.append(p) or fn(p, q))
+    net = new_network()
+
+    def subscriber(pattern):
+        return net.spawn(idle, None, [PatchAction(Patch({observe(pattern)}, ()))])
+
+    topic = [subscriber(rec("topic", "t", WILDCARD)) for _ in range(3)]
+    every = subscriber(rec("topic", WILDCARD, WILDCARD))
+    a1 = subscriber(rec("r", rec("a", 1), WILDCARD))
+    subscriber(rec("r", rec("a", 2), WILDCARD))
+    sender = net.spawn(idle, None)
+    net.run_until_quiescent(100)
+    confirmed.clear()
+    for action in (
+        MessageAction(rec("topic", "t", 7)),
+        PatchAction(Patch({rec("topic", "t", 8)}, ())),
+    ):
+        net.interpret_action(sender, action)
+        assert [aid for aid, _ in net.queue] == topic + [every]
+        net.run_until_quiescent(100)
+    assert confirmed == []
+    net.interpret_action(sender, MessageAction(rec("r", rec("a", 1), 7)))
+    assert [aid for aid, _ in net.queue] == [a1]
+    assert sorted(confirmed, key=repr) == [rec("r", rec("a", k), WILDCARD) for k in (1, 2)]
 
 
 # -- misbehaving actors ---------------------------------------------------------------

@@ -3,11 +3,13 @@ from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
+from conftest import TYPED_ATOM_VOCAB, pattern_strategy, value_strategy
 from dataspace import (
     EMPTY_PATCH,
     Bag,
+    MalformedText,
     Patch,
     Sym,
     WILDCARD,
@@ -16,11 +18,14 @@ from dataspace import (
     clamp_patch,
     delta,
     interests_of,
+    intersect,
     observe,
     rec,
     seq_patches,
+    traces_equivalent,
     visible,
 )
+from dataspace.patches import Index
 
 
 def account(x):
@@ -202,6 +207,22 @@ def test_bag_release_of_absent_assertion_raises():
         bag.change((), [account(0)])
 
 
+def test_replaying_an_unreadable_line_raises_malformed_text():
+    def patch_out(added):
+        data = '{"added":[%s],"removed":[]}' % added
+        return '{"seq":0,"actor":"g/0","kind":"patch-out","data":%s}' % data
+
+    for line in (
+        patch_out("[" * 100000 + "]" * 100000),  # too deep for json to parse
+        patch_out('["a",' * 5000 + "1" + "]" * 5000),  # too deep for a walk to read
+        "not json",
+    ):
+        with pytest.raises(MalformedText):
+            aggregate_snapshots([line], WILDCARD)
+        with pytest.raises(MalformedText):
+            traces_equivalent([line], [], WILDCARD)
+
+
 def test_replaying_a_retraction_of_the_never_asserted_raises():
     trace = [
         '{"seq":0,"actor":"g/0","kind":"patch-out",'
@@ -209,3 +230,55 @@ def test_replaying_a_retraction_of_the_never_asserted_raises():
     ]
     with pytest.raises(KeyError):
         aggregate_snapshots(trace, account(WILDCARD))
+
+
+# every shape the index files, in one slot where it can: the settled (r 1 _)
+# and (r _ _) beside the unsettled (r _ 2) and (r (a 1) _); 1 beside #t and
+# "s" beside 's, bare and as a first field; zero-field records, bare atoms and
+# the top-level wildcard
+FILED = (
+    rec("r", 1, WILDCARD), rec("r", True, WILDCARD), rec("r", "s", WILDCARD),
+    rec("r", Sym("s"), WILDCARD), rec("r", WILDCARD, WILDCARD), rec("r", WILDCARD, 2),
+    rec("r", rec("a", 1), WILDCARD), rec("r", rec("a", WILDCARD), WILDCARD), rec("r", 1, 2),
+    rec("r", True, 2), rec("r"), rec("z"), rec("a", 1), rec("a", True),
+    1, True, "s", Sym("s"), WILDCARD,
+)  # fmt: skip
+filed_patterns = st.sampled_from(FILED) | pattern_strategy(atoms=TYPED_ATOM_VOCAB)
+queries = st.lists(
+    st.sampled_from(FILED)
+    | pattern_strategy(atoms=TYPED_ATOM_VOCAB)
+    | value_strategy(atoms=TYPED_ATOM_VOCAB),
+    max_size=8,
+)
+# (remove?, holder, pattern): a removal of something not filed files it instead
+index_ops = st.lists(st.tuples(st.booleans(), st.integers(0, 2), filed_patterns), max_size=24)
+
+
+@given(index_ops, queries)
+@example([(False, 0, rec("r", 1, WILDCARD)), (True, 0, rec("r", 1, WILDCARD))], [rec("r", 1, 2)])
+@example(
+    [(False, h, p) for h, p in enumerate(FILED[:3])] + [(True, 1, FILED[1])],
+    [rec("r", True, 2), rec("r", 1, WILDCARD), WILDCARD],
+)
+def test_index_matching_is_exactly_the_filed_pairs_that_intersect(ops, extra):
+    def typed(pairs):  # Python's equality would merge the pairs of 1 and #t
+        return [(h, type(p), p) for h, p in pairs]
+
+    index, filed = Index(), {}
+    for remove, holder, p in ops:
+        (key,) = typed([(holder, p)])
+        if remove and key in filed:
+            index.remove(p, holder)
+            del filed[key]
+        else:
+            index.add(p, holder)
+            filed[key] = (holder, p)
+    for q in FILED + tuple(extra):
+        found = typed(index.matching(q))
+        assert len(found) == len(set(found)), q  # each pair once
+        brute = typed(hp for hp in filed.values() if intersect(hp[1], q) is not None)
+        assert set(found) == set(brute), q
+    # a removal that empties a bucket or a slot leaves nothing behind
+    assert all(s or o for buckets in index._slots.values() for s, o in buckets.values())
+    if not filed:
+        assert index._slots == {}
