@@ -346,15 +346,17 @@ class Network:
         """Deliver one queued event to its actor; False when quiescent.
 
         index selects which queued event to take (default: oldest); tests
-        use it to explore alternative interleavings.  A nested network's
+        use it to explore alternative interleavings.  An index outside the
+        queue raises ValueError and dispatches nothing.  A nested network's
         tick is an event like any other, so a tick whose child queue was
         emptied meanwhile (its actor quit) is a dispatch that does nothing.
         """
         if not self.queue:
             return False
-        i = index if 0 < index < len(self.queue) else 0
-        aid, event = self.queue[i]
-        del self.queue[i]
+        if not 0 <= index < len(self.queue):
+            raise ValueError(f"no queued event at index {index} of {len(self.queue)}")
+        aid, event = self.queue[index]
+        del self.queue[index]
         entry = self.actors[aid]
         if isinstance(event, PatchEvent):
             self.trace.emit(entry.label, "patch-in", patch_jsonable(event.patch))
@@ -366,7 +368,8 @@ class Network:
 
         This is the only loop around :meth:`dispatch_one`.  pick, given the
         queue length, chooses which queued event to dispatch next (default:
-        the oldest); tests use it to explore alternative interleavings.
+        the oldest; an index outside the queue raises ValueError); tests use
+        it to explore alternative interleavings.
         after_step, if given, runs after every dispatch; passing
         :meth:`check_visibility` recounts visibility from scratch each step.
         Returns the number of dispatches made.

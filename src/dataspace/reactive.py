@@ -5,14 +5,14 @@ blocks the script until one of the state's termination clauses fires.  Every
 state runs its facets in a fresh actor: the parent installs an internal
 watcher for a reserved completion assertion, the fresh actor hosts the
 facets, and the termination clause's result values travel back through the
-dataspace.  A reactive actor therefore holds one state at a time: a script's
-watcher, whose completion resumes the script, or a hosted state, whose
-completion asserts the result and quits the host.  The facets of that state
-claim their assertions in one bag (:class:`patches.Bag`), the mux: only an
-assertion's first claim and last release reach the network, so facets that
-claim the same assertion never interfere.  Each triggering value is matched
-against a clause once; the body's bindings are the captures of that unified
-value.
+dataspace.  A reactive actor therefore holds one state at a time, in its own
+fields: a script's watcher, whose completion resumes the script, or a hosted
+state, whose completion asserts the result and quits the host.  The facets of
+that state claim their assertions in one bag (:class:`patches.Bag`), the mux:
+only an assertion's first claim and last release reach the network, so facets
+that claim the same assertion never interfere, and leaving the state releases
+the whole mux.  Each triggering value is matched against a clause once; the
+body's bindings are the captures of that unified value.
 """
 
 from __future__ import annotations
@@ -92,7 +92,11 @@ class Retracted:
 
 @dataclass(frozen=True)
 class RisingEdge:
-    """Triggered when the predicate over collected values turns true."""
+    """Triggered when the predicate over the collected values holds.
+
+    It is checked at install and after each event; being a stop clause, it
+    ends the state when it fires.
+    """
 
     predicate: Callable
 
@@ -216,21 +220,6 @@ def forever(*, collect=(), facets=()) -> StateSpec:
 # -- per-actor runtime ---------------------------------------------------------
 
 
-class _Group:
-    """The installed state: collected values, facets, and mux contributions."""
-
-    def __init__(self, spec: StateSpec):
-        self.spec = spec
-        self.collected = tuple(init for _, init in spec.collect)
-        self.subscriptions = tuple(
-            observe(c.subscription)
-            for c in (*spec.ons, *spec.whens)
-            if c.kind != "rising-edge"
-        )
-        self.assert_current = [f.template(*self.collected) for f in spec.asserts]
-        self.baselines = [False] * len(spec.whens)
-
-
 class ActorContext:
     """Imperative surface handed to scripts and facet bodies."""
 
@@ -261,7 +250,9 @@ class ReactiveState:
         self._script_fn = script
         self._initial = _initial  # (spec, handshake id | None) for state hosts
         self._gen = None
-        self._group: Optional[_Group] = None
+        self._spec: Optional[StateSpec] = None  # the installed state, if any
+        self._collected: tuple = ()  # its collected values
+        self._asserting: list = []  # the current value of each Assert facet
         self._mux = Bag()
         self._pending: Optional[list] = None
         self._fresh_sid: Optional[Callable] = None
@@ -347,36 +338,44 @@ class ReactiveState:
     def install_group(self, spec: StateSpec) -> None:
         """Install the actor's state; a rising edge already true at install fires.
 
-        Its completion follows the actor's role: a script's watcher resumes
-        the script, and a hosted state completes its host.
+        The state's fields are the actor's own.  Its completion follows the
+        actor's role: a script's watcher resumes the script, and a hosted
+        state completes its host.
         """
-        if self._group is not None:
+        if self._spec is not None:
             raise RuntimeError("a reactive actor holds one state at a time")
-        group = self._group = _Group(spec)
-        self._change_mux((*group.subscriptions, *group.assert_current))
-        self._check_stop(group, None)
+        self._spec = spec
+        self._collected = tuple(init for _, init in spec.collect)
+        self._asserting = [f.template(*self._collected) for f in spec.asserts]
+        clauses = (*spec.ons, *spec.whens)
+        subs = [observe(c.subscription) for c in clauses if c.kind != "rising-edge"]
+        self._change_mux((*subs, *self._asserting))
+        self._check_stop(None)
 
     def teardown_group(self) -> None:
-        """Release the state's mux claims, retracting what nobody else holds."""
-        group, self._group = self._group, None
-        self._change_mux((), (*group.subscriptions, *group.assert_current))
+        """Release the whole mux, retracting what nobody else holds.
+
+        Only install, teardown and the Assert refresh claim the mux (a host's
+        result is a direct patch), so it holds exactly the state's claims.
+        """
+        self._spec = None
+        self._change_mux((), list(self._mux.elements()))
 
     # -- event handling ------------------------------------------------------------
 
     def _deliver(self, event) -> None:
-        group = self._group
         # 1. facet bodies fold the collected tuple
-        for c in group.spec.ons:
+        for c in self._spec.ons:
             for unified in _triggers(c, event):
-                result = c.body(self.ctx, *group.collected, *captures(c.extraction, unified))
-                group.collected = self._fold(group, result)
+                result = c.body(self.ctx, *self._collected, *captures(c.extraction, unified))
+                self._collected = self._fold(result)
         # 2. assert facets re-evaluate against the new collected tuple
-        self._refresh_asserts(group)
+        self._refresh_asserts()
         # 3. termination clauses, declaration order, first satisfied fires
-        self._check_stop(group, event)
+        self._check_stop(event)
 
-    def _fold(self, group: _Group, result) -> tuple:
-        n = len(group.spec.collect)
+    def _fold(self, result) -> tuple:
+        n = len(self._spec.collect)
         if n == 0:
             if result is not None:
                 raise ValueError("facet body returned values but nothing is collected")
@@ -387,29 +386,29 @@ class ReactiveState:
             raise ValueError(f"facet body must return {n} values, got {result!r}")
         return tuple(result)
 
-    def _refresh_asserts(self, group: _Group) -> None:
-        new = [f.template(*group.collected) for f in group.spec.asserts]
-        if new != group.assert_current:
-            self._change_mux(new, group.assert_current)
-            group.assert_current = new
+    def _refresh_asserts(self) -> None:
+        new = [f.template(*self._collected) for f in self._spec.asserts]
+        if new != self._asserting:
+            self._change_mux(new, self._asserting)
+            self._asserting = new
 
-    def _check_stop(self, group: _Group, event) -> None:
-        for i, w in enumerate(group.spec.whens):
+    def _check_stop(self, event) -> None:
+        # A rising edge needs no memory of the last check: it is only ever a
+        # stop clause, and a stop clause that fires ends the state, so while
+        # the state lives its predicate was false at every earlier check.
+        for w in self._spec.whens:
             if w.kind == "rising-edge":
-                now = bool(w.predicate(*group.collected))
-                fire = now and not group.baselines[i]
-                group.baselines[i] = now
-                if fire:
-                    self._fire(group, w, ())
+                if w.predicate(*self._collected):
+                    self._fire(w, ())
                     return
             else:
                 hits = _triggers(w, event)
                 if hits:
-                    self._fire(group, w, captures(w.extraction, hits[0]))
+                    self._fire(w, captures(w.extraction, hits[0]))
                     return
 
-    def _fire(self, group: _Group, w: _Clause, bindings: tuple) -> None:
-        raw = w.body(self.ctx, *group.collected, *bindings) if w.body else None
+    def _fire(self, w: _Clause, bindings: tuple) -> None:
+        raw = w.body(self.ctx, *self._collected, *bindings) if w.body else None
         self.teardown_group()
         (self._resume_script if self._gen is not None else self._complete)(raw)
 

@@ -16,6 +16,12 @@ def test_list_names(capsys):
     assert set(out) == set(ALL)
 
 
+def test_module_entry_point_lists_the_scenarios():
+    cmd = [sys.executable, "-m", "dataspace.cli", "list"]
+    out = subprocess.run(cmd, capture_output=True, check=True, text=True).stdout
+    assert sorted(out.splitlines()) == ALL
+
+
 def test_run_unknown_scenario_exits_2(capsys):
     assert main(["run", "nosuch"]) == 2
     assert "unknown scenario" in capsys.readouterr().err

@@ -449,6 +449,40 @@ def test_dispatch_empty_queue_is_quiescent():
     assert new_network().dispatch_one() is False
 
 
+def _three_queued_messages():
+    # a recorder subscribed to (n _) and three messages queued for it: n 0, 1, 2
+    net = new_network()
+    seen = []
+
+    def record(event, state):
+        seen.append(event.body.fields[0])
+
+    n = Record(Sym("n"), (WILDCARD,))
+    net.spawn(record, None, [PatchAction(Patch({observe(n)}, ()))])
+    kicker = net.spawn(idle, None)
+    for i in range(3):
+        net.interpret_action(kicker, MessageAction(rec("n", i)))
+    assert len(net.queue) == 3
+    return net, seen
+
+
+@pytest.mark.parametrize(
+    "pick", [lambda n: n, lambda n: -1, lambda n: n + 5], ids=["n", "-1", "n+5"]
+)
+def test_an_out_of_range_pick_raises_and_dispatches_nothing(pick):
+    net, seen = _three_queued_messages()
+    queued = list(net.queue)
+    with pytest.raises(ValueError, match="no queued event"):
+        net.run_until_quiescent(50, pick=pick)
+    assert list(net.queue) == queued and seen == []
+
+
+def test_a_pick_of_the_last_index_dispatches_the_newest_event():
+    net, seen = _three_queued_messages()
+    net.run_until_quiescent(50, pick=lambda n: n - 1)
+    assert seen == [2, 1, 0]
+
+
 def test_a_dispatch_budget_must_be_positive():
     with pytest.raises(ValueError, match="max_steps must be positive"):
         new_network().run_until_quiescent(0)

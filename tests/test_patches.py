@@ -63,6 +63,10 @@ def test_patch_disjointness_enforced():
             Patch(kind({account(0)}), kind({account(0)}))
 
 
+def test_a_patch_prints_its_added_and_removed_sets():
+    assert repr(Patch({rec("a", 1)}, ())) == "Patch(+{(a 1)} -{})"
+
+
 def test_apply_patch_startup():
     p = Patch({account(0), observe(deposit(WILDCARD))}, ())
     assert apply_patch(frozenset(), p) == {account(0), observe(deposit(WILDCARD))}

@@ -176,6 +176,32 @@ def test_mux_two_facets_same_assertion_do_not_interfere():
     assert down == [PatchAction(Patch((), {shared, rec("moved", 1), observe(move)}))]
 
 
+def test_teardown_releases_every_live_claim_and_empties_the_mux():
+    # two Assert facets change value across three events; at the end one of
+    # them equals the subscription, so the mux counts that assertion twice
+    ping = Sym("ping")
+    watched = observe(ping)
+    rt = ReactiveState(None)
+    spec = forever(
+        collect=[("n", 0)],
+        facets=[
+            On(Message(ping), lambda ctx, n: n + 1),
+            Assert(lambda n: watched if n % 2 else rec("even", n)),
+            Assert(lambda n: rec("count", n)),
+        ],
+    )
+    installed = rt.collect_actions(lambda: rt.install_group(spec))
+    up = {watched, rec("even", 0), rec("count", 0)}
+    assert installed == [PatchAction(Patch(up, ()))]
+    for _ in range(3):
+        rt.collect_actions(lambda: rt._deliver(MessageEvent(ping)))
+    assert rt._mux == {watched: 2, rec("count", 3): 1}
+    live = set(rt._mux)
+    assert rt.collect_actions(rt.teardown_group) == [PatchAction(Patch((), live))]
+    assert not rt._mux
+    assert rt.collect_actions(lambda: rt.install_group(spec)) == installed
+
+
 def test_teardown_of_facetless_group_emits_no_patch():
     rt = ReactiveState(None)
     spec = state(collect=[("n", 0)], stop=[When(RisingEdge(lambda n: n > 0))])
@@ -251,6 +277,46 @@ def test_rising_edge_false_predicate_never_fires():
         net.interpret_action(kicker, MessageAction(Sym("bump")))
     net.run_until_quiescent(30)
     assert len(net.actors) == 3  # script, state host, kicker: still waiting
+
+
+def _edge_after_bumps(predicate, bumps=3):
+    # a script waits on a rising edge over a count the bump messages raise
+    net = new_network()
+    seen = []
+
+    def script(ctx):
+        got = yield state(
+            collect=[("n", 0)],
+            facets=[On(Message(Sym("bump")), lambda ctx, n: n + 1)],
+            stop=[When(RisingEdge(predicate), lambda ctx, n: n)],
+        )
+        seen.append(got)
+
+    reactive_actor(net, script)
+    kicker = net.spawn(lambda e, s: None, None)
+    net.run_until_quiescent(20)
+    for _ in range(bumps):
+        net.interpret_action(kicker, MessageAction(Sym("bump")))
+    net.run_until_quiescent(30)
+    return seen
+
+
+def test_rising_edge_predicate_is_called_once_per_check_until_it_holds():
+    calls = []
+
+    def at_two(n):
+        calls.append(n)
+        return n >= 2
+
+    assert _edge_after_bumps(at_two) == [2]
+    assert calls == [0, 1, 2]  # at install, then after each bump until it fires
+
+
+@pytest.mark.parametrize(
+    "predicate", [bool, lambda *a: a[0] >= 1], ids=["no-signature", "varargs"]
+)
+def test_rising_edge_predicate_without_a_checkable_arity_builds_and_fires(predicate):
+    assert _edge_after_bumps(predicate) == [1]
 
 
 def test_asserted_facet_runs_once_per_matching_assertion():

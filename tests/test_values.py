@@ -471,3 +471,25 @@ def test_atoms_sort_before_records():
     for a in atoms:
         for r in records:
             assert canonical_key(a) < canonical_key(r)
+
+
+def test_a_capture_hole_sorts_after_every_atom_and_before_records():
+    hole = Capture(1)
+    assert canonical_key(hole) == (5, (2, 1))
+    for a in [0, True, "z", Sym("z")]:
+        assert canonical_key(a) < canonical_key(hole)
+    assert canonical_key(hole) < canonical_key(rec("a"))
+
+
+@pytest.mark.parametrize(
+    "write, bad",
+    [(canonical_encode, 1.5), (canonical_key, 1.5), (to_jsonable, object())],
+    ids=["canonical_encode", "canonical_key", "to_jsonable"],
+)
+def test_a_non_pattern_has_no_canonical_form(write, bad):
+    with pytest.raises(TypeError, match="not a pattern"):
+        write(bad)
+
+
+def test_a_binder_prints_as_dollar_name():
+    assert repr(Bind("x")) == "$x"
