@@ -281,9 +281,10 @@ class Network:
     def _apply_actor_patch(self, aid, patch: Patch) -> None:
         """Apply an actor's patch and fan the change out to its receivers.
 
-        Each receiver's seen bag takes its claims and releases; receivers
-        whose seen-bag change is equal share one PatchEvent, and so, through
-        the patch's cached trace form, one patch-in ``data`` object.
+        Each receiver's seen bag takes its claims and releases in one walk
+        (:meth:`Bag.crossings`).  Receivers whose seen-bag change is equal
+        share one PatchEvent, so one Patch is built per distinct change and,
+        through the patch's cached trace form, one patch-in ``data`` object.
         """
         entry = self.actors[aid]
         clamped = clamp_patch(patch, entry.asserted)
@@ -303,17 +304,18 @@ class Network:
         entry.asserted = apply_patch(entry.asserted, clamped)
         change = self.aggregate.change(clamped.added, clamped.removed)
         self.trace.emit(entry.label, "patch-out", encoded)
-        events: dict = {}  # (added, removed) -> the one event for that change
+        # (gained, lost) -> the one event for that change; frozenset keys, as
+        # equal sets compare equal whatever order they were built in
+        events: dict = {}
         # aids only grow, so sorted order is the actor table's order
         for bid, (claims, releases) in route(
             self.support, self.interests, aid, clamped, change
         ).items():
-            seen = self.actors[bid].seen.change(claims, releases)
-            if not seen.is_empty():
-                key = (seen.added, seen.removed)
+            key = self.actors[bid].seen.crossings(claims, releases)
+            if key[0] or key[1]:
                 event = events.get(key)
                 if event is None:
-                    event = events[key] = PatchEvent(seen)
+                    event = events[key] = PatchEvent(Patch(*key))
                 self._enqueue(bid, event)
 
     def _emit_ground(self, aid, kind: str, value) -> None:
@@ -355,8 +357,11 @@ class Network:
             return False
         if not 0 <= index < len(self.queue):
             raise ValueError(f"no queued event at index {index} of {len(self.queue)}")
-        aid, event = self.queue[index]
-        del self.queue[index]
+        if index:  # an explicit pick; the default takes the head in one popleft
+            aid, event = self.queue[index]
+            del self.queue[index]
+        else:
+            aid, event = self.queue.popleft()
         entry = self.actors[aid]
         if isinstance(event, PatchEvent):
             self.trace.emit(entry.label, "patch-in", patch_jsonable(event.patch))

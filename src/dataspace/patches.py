@@ -91,11 +91,12 @@ class Bag(Counter):
     count between 0 and 1 change the support.
     """
 
-    def change(self, added=(), removed=()) -> Patch:
+    def crossings(self, added=(), removed=()) -> tuple[frozenset, frozenset]:
         """Claim one copy of each of added, then release one of each of removed.
 
-        Returns the net change in support.  Raises KeyError when a count
-        would go below zero, leaving the changes before it in place.
+        Returns the net change in support as (gained, lost).  Raises KeyError
+        when a count would go below zero, leaving the changes before it in
+        place.
         """
         gained, lost = set(), set()
         for a in added:
@@ -108,14 +109,19 @@ class Bag(Counter):
             if n > 0:
                 self[a] = n
             elif n == 0:
-                del self[a]
+                dict.__delitem__(self, a)  # Counter.__delitem__ is Python code
                 if a in gained:
                     gained.remove(a)  # claimed and released within this call
                 else:
                     lost.add(a)
             else:
                 raise KeyError(a)
-        return Patch(gained, lost)
+        return frozenset(gained), frozenset(lost)
+
+    def change(self, added=(), removed=()) -> Patch:
+        """:meth:`crossings` as a patch: the net change in support."""
+        gained, lost = self.crossings(added, removed)
+        return Patch(gained, lost) if gained or lost else EMPTY_PATCH
 
 
 def observed(s: Iterable):
@@ -239,8 +245,9 @@ def route(support: Index, interests: Index, holder, own: Patch, change: Patch) -
     for it.  A holder claims an assertion once for each of its interests that
     starts to intersect it and releases it once for each that stops, so its
     visible bag counts the interests intersecting each assertion.  Holders
-    come in sorted order.  Both lookups are exact (:meth:`Index.matching`),
-    so nothing is confirmed here.
+    come in sorted order, each with its claims and its releases (an empty
+    tuple for a side it has nothing on).  Both lookups are exact
+    (:meth:`Index.matching`), so nothing is confirmed here.
     """
     claims, releases = defaultdict(list), defaultdict(list)
     # the order of the four steps makes each (assertion, interest) pair that
@@ -259,4 +266,7 @@ def route(support: Index, interests: Index, holder, own: Patch, change: Patch) -
     for p in observed(own.added):  # new interests, against all support after
         interests.add(p, holder)
         claims[holder].extend(a for _, a in support.matching(p))
-    return {h: (claims[h], releases[h]) for h in sorted(claims.keys() | releases.keys())}
+    return {
+        h: (claims.get(h, ()), releases.get(h, ()))
+        for h in sorted(claims.keys() | releases.keys())
+    }

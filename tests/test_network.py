@@ -172,6 +172,42 @@ def test_one_fan_out_shares_one_event_and_one_trace_form():
     assert net.trace.lines() == oracle_lines(net.trace)
 
 
+def test_a_fan_out_builds_as_many_patches_for_one_receiver_as_for_many(monkeypatch):
+    # receivers whose seen-bag change is equal share one Patch, so the count
+    # of patches one publish builds does not grow with the receivers
+    built = []
+    post_init = Patch.__post_init__
+    monkeypatch.setattr(Patch, "__post_init__", lambda p: built.append(p) or post_init(p))
+    counts = []
+    for n in (1, 4, 32):
+        net = new_network()
+        interest = Patch({observe(rec("presence", 1, WILDCARD))}, ())
+        observers = [net.spawn(idle, None, [PatchAction(interest)]) for _ in range(n)]
+        publisher = net.spawn(idle, None)
+        net.run_until_quiescent(100)
+        action = PatchAction(Patch({rec("presence", 1, 7)}, ()))
+        built.clear()
+        net.interpret_action(publisher, action)
+        counts.append(len(built))
+        assert [aid for aid, _ in net.queue] == observers
+    assert counts == [counts[0]] * 3, counts
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_a_patcher_and_an_observer_seeing_one_change_share_one_event(k):
+    # the observer's claims come from the aggregate's change and the patcher's
+    # from its new interest, each in its own order; equal sets are one change
+    net = new_network()
+    observer = net.spawn(idle, None, [PatchAction(Patch({observe(rec("x", WILDCARD))}, ()))])
+    patcher = net.spawn(idle, None)
+    net.run_until_quiescent(100)
+    xs = {rec("x", i) for i in range(k)}
+    net.interpret_action(patcher, PatchAction(Patch(xs | {observe(rec("x", WILDCARD))}, ())))
+    assert [aid for aid, _ in net.queue] == [observer, patcher]
+    assert len({id(event) for _, event in net.queue}) == 1
+    assert net.queue[0][1] == PatchEvent(Patch(xs, ()))
+
+
 def test_sender_receives_own_message_when_self_interested():
     net = new_network()
     got = []
