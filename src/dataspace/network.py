@@ -14,6 +14,7 @@ identical programs produce identical traces.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -162,28 +163,23 @@ class Network:
         self._next_index = 0
         self._parent: Optional[Network] = _parent
         self._tick_pending = False
-        self._handshake_counter = 0
+        self._fresh_id = itertools.count().__next__
 
     # -- identity -----------------------------------------------------------
 
     def _label(self, aid: tuple[int, ...]) -> str:
         return "/".join(["g", *map(str, aid)])
 
-    def fresh_handshake_id(self) -> int:
-        """Monotonic token, unique within this network's private dataspace."""
-        n = self._handshake_counter
-        self._handshake_counter += 1
-        return n
-
     # -- spawning and termination -------------------------------------------
 
     def spawn(self, behaviour, state, startup_actions=()) -> tuple[int, ...]:
         """Register an actor and interpret its startup actions in order.
 
-        If the state object defines ``on_spawn(actor_id, network)`` it is
-        invoked after registration and may return extra startup actions;
-        this lets stateful runtimes learn their own identity.  Bad startup
-        actions or a failing hook crash the new actor, not the caller.
+        If the state object defines ``on_spawn(fresh_id)`` it is invoked
+        after registration and may return extra startup actions.  fresh_id(),
+        all the hook sees of the network, counts 0, 1, 2, ... across this
+        network's hooks.  Bad startup actions or a failing hook crash the new
+        actor, not the caller.
         """
         aid = self._register(_ActorEntry(behaviour=behaviour, state=state))
 
@@ -191,7 +187,7 @@ class Network:
             actions = list(startup_actions)
             hook = getattr(state, "on_spawn", None)
             if callable(hook):
-                actions.extend(hook(aid, self))
+                actions.extend(hook(self._fresh_id))
             return Continue(state, actions)
 
         self._run_actor(aid, startup)
@@ -281,8 +277,9 @@ class Network:
     def _apply_actor_patch(self, aid, patch: Patch) -> None:
         """Apply an actor's patch and fan the change out to its receivers.
 
-        Each receiver's seen bag takes its claims and releases in one walk
-        (:meth:`Bag.crossings`).  Receivers whose seen-bag change is equal
+        The aggregate bag and each receiver's seen bag take their claims and
+        releases in one walk (:meth:`Bag.crossings`); the aggregate's goes to
+        :func:`route` as two sets.  Receivers whose seen-bag change is equal
         share one PatchEvent, so one Patch is built per distinct change and,
         through the patch's cached trace form, one patch-in ``data`` object.
         """
@@ -302,14 +299,14 @@ class Network:
             if not (a is WILDCARD or isinstance(a, Record)):
                 raise TypeError(f"bare atom asserted: {a!r}")
         entry.asserted = apply_patch(entry.asserted, clamped)
-        change = self.aggregate.change(clamped.added, clamped.removed)
+        gained, lost = self.aggregate.crossings(clamped.added, clamped.removed)
         self.trace.emit(entry.label, "patch-out", encoded)
-        # (gained, lost) -> the one event for that change; frozenset keys, as
-        # equal sets compare equal whatever order they were built in
+        # a receiver's (gained, lost) -> the one event for it; frozenset keys,
+        # as equal sets compare equal whatever order they were built in
         events: dict = {}
         # aids only grow, so sorted order is the actor table's order
         for bid, (claims, releases) in route(
-            self.support, self.interests, aid, clamped, change
+            self.support, self.interests, aid, clamped, gained, lost
         ).items():
             key = self.actors[bid].seen.crossings(claims, releases)
             if key[0] or key[1]:

@@ -118,11 +118,6 @@ class Bag(Counter):
                 raise KeyError(a)
         return frozenset(gained), frozenset(lost)
 
-    def change(self, added=(), removed=()) -> Patch:
-        """:meth:`crossings` as a patch: the net change in support."""
-        gained, lost = self.crossings(added, removed)
-        return Patch(gained, lost) if gained or lost else EMPTY_PATCH
-
 
 def observed(s: Iterable):
     """The pattern of each observe assertion in s, one observe unwrapped.
@@ -237,14 +232,15 @@ class Index:
         return found
 
 
-def route(support: Index, interests: Index, holder, own: Patch, change: Patch) -> dict:
+def route(support: Index, interests: Index, holder, own: Patch, gained, lost) -> dict:
     """Carry one clamped patch into both indexes; each touched holder's claims and releases.
 
     own is the holder's clamped patch, whose observe assertions are its
-    interest delta; change is the support delta the aggregate bag returned
-    for it.  A holder claims an assertion once for each of its interests that
-    starts to intersect it and releases it once for each that stops, so its
-    visible bag counts the interests intersecting each assertion.  Holders
+    interest delta; gained and lost are the support delta, the crossings
+    the aggregate bag returned for it.  A holder claims an assertion once
+    for each of its interests that starts to intersect it and releases it
+    once for each that stops, so its visible bag counts the interests
+    intersecting each assertion.  Holders
     come in sorted order, each with its claims and its releases (an empty
     tuple for a side it has nothing on).  Both lookups are exact
     (:meth:`Index.matching`), so nothing is confirmed here.
@@ -252,14 +248,14 @@ def route(support: Index, interests: Index, holder, own: Patch, change: Patch) -
     claims, releases = defaultdict(list), defaultdict(list)
     # the order of the four steps makes each (assertion, interest) pair that
     # appears or vanishes count exactly once
-    for a in change.removed:  # lost support, against every interest held before
+    for a in lost:  # lost support, against every interest held before
         support.remove(a)
         for h, _ in interests.matching(a):
             releases[h].append(a)
     for p in observed(own.removed):  # dropped interests, against surviving support
         interests.remove(p, holder)
         releases[holder].extend(a for _, a in support.matching(p))
-    for a in change.added:  # new support, against the interests that stay
+    for a in gained:  # new support, against the interests that stay
         support.add(a)
         for h, _ in interests.matching(a):
             claims[h].append(a)

@@ -266,9 +266,9 @@ class ReactiveState:
         self._pending.append(action)
 
     def _change_mux(self, added=(), removed=()) -> None:
-        patch = self._mux.change(added, removed)
-        if not patch.is_empty():
-            self._buffer(PatchAction(patch))
+        gained, lost = self._mux.crossings(added, removed)
+        if gained or lost:
+            self._buffer(PatchAction(Patch(gained, lost)))
 
     def collect_actions(self, thunk: Callable[[], None]) -> list:
         """Run thunk with an action buffer installed; return what it emitted."""
@@ -280,8 +280,8 @@ class ReactiveState:
         finally:
             self._pending = prev
 
-    def on_spawn(self, actor_id, network) -> list:
-        self._fresh_sid = network.fresh_handshake_id
+    def on_spawn(self, fresh_id) -> list:
+        self._fresh_sid = fresh_id
         return self.collect_actions(self._start)
 
     def _start(self) -> None:

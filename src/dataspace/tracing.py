@@ -95,7 +95,7 @@ def aggregate_snapshots(trace, lens) -> list[frozenset]:
             data = entry["data"]
             added = [from_jsonable(a) for a in data["added"]]
             removed = [from_jsonable(a) for a in data["removed"]]
-        bag.change(added, removed)
+        bag.crossings(added, removed)
         cur = frozenset(a for a in bag if intersect(lens, a) is not None)
         if cur != snaps[-1]:
             snaps.append(cur)

@@ -10,11 +10,12 @@ through a weak table keyed on its class and its parts, every part tagged
 with its type, so equal values are the same object.  Equality and hashing
 are identity, which makes them cheap and type-strict all the way down: the
 record ``(a 1)`` is not ``(a #t)``, as in canonical text.  Bare atoms are
-Python's own ``str``, ``int`` and ``bool``, so a bare ``1`` still equals
-``True``; the network therefore accepts only records and the wildcard as
-assertions.  A record caches its canonical sort key and JSON form, and the
-form keeps its canonical text once it is first rendered, so a trace writes
-each record's text once however often the record appears.
+of exact type ``str``, ``int`` or ``bool``, as an enum member's text is the
+plain atom's.  A bare ``1`` still equals ``True``, so the network accepts
+only records and the wildcard as assertions.  A record caches its canonical
+sort key and JSON form, and the form keeps its canonical text once it is
+first rendered, so a trace writes each record's text once however often the
+record appears.
 """
 
 from __future__ import annotations
@@ -151,6 +152,8 @@ class Sym(_Interned):
     __slots__ = ("name",)
 
     def __new__(cls, name):
+        if type(name) is not str:  # a str subclass's text would not identify it
+            raise TypeError(f"symbol name is not a str: {name!r}")
         return _intern_one(cls, name)
 
     def __reduce__(self):
@@ -191,6 +194,8 @@ class Record(_Interned):
         key = (cls, label, fields, tuple(map(type, fields)))
         self = _live(key)
         if self is None:
+            if not isinstance(label, Sym):
+                raise TypeError(f"record label is not a symbol: {label!r}")
             self = object.__new__(cls)
             _set(self, "label", label)
             _set(self, "fields", fields)
@@ -237,6 +242,7 @@ class Bind(_Interned):
 
 
 OBSERVE = Sym("observe")
+_ATOMS = (str, int, bool)  # matched by exact type, as the module docstring says
 
 
 def rec(label: str | Sym, *fields) -> Record:
@@ -251,7 +257,7 @@ def observe(p) -> Record:
 
 def is_pattern(p) -> bool:
     """True for wildcards, atoms of the supported kinds, and records thereof."""
-    if p is WILDCARD or isinstance(p, (Sym, str, int, bool)):
+    if p is WILDCARD or type(p) in _ATOMS or isinstance(p, Sym):
         return True
     if isinstance(p, Record):
         return all(is_pattern(f) for f in p.fields)
@@ -262,7 +268,7 @@ def is_ground(p) -> bool:
     """True for values: atoms of the supported kinds, and records thereof."""
     if isinstance(p, Record):
         return all(is_ground(f) for f in p.fields)
-    return isinstance(p, (Sym, str, int, bool))
+    return type(p) in _ATOMS or isinstance(p, Sym)
 
 
 def intersect(p, q):
@@ -416,9 +422,9 @@ def to_jsonable(p):
         return form
     if p is WILDCARD:
         return "_"
-    if isinstance(p, bool):
+    if type(p) is bool:
         return p
-    if isinstance(p, int):
+    if type(p) is int:
         # no digit limit is below 640, and 2,000 bits make at most 603 digits
         if p.bit_length() > 2000:
             try:
@@ -426,7 +432,7 @@ def to_jsonable(p):
             except ValueError as exc:  # past sys.get_int_max_str_digits()
                 raise ValueError(f"integer atom too long for canonical text: {exc}") from None
         return p
-    if isinstance(p, str):
+    if type(p) is str:
         if p == "_" or p.startswith("'"):
             raise ValueError(f"string {p!r} collides with the canonical grammar")
         return p

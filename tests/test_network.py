@@ -1,3 +1,4 @@
+import enum
 import importlib
 import os
 import random
@@ -11,6 +12,7 @@ from hypothesis import given
 
 from conftest import oracle_lines
 from dataspace import (
+    Asserted,
     Capture,
     Continue,
     MessageAction,
@@ -27,11 +29,14 @@ from dataspace import (
     VisibilityMismatch,
     WILDCARD,
     aggregate_snapshots,
+    forever,
     interests_of,
     is_ground,
     new_network,
     observe,
+    reactive_actor,
     rec,
+    until,
     visible,
 )
 from dataspace.network import _step_nested
@@ -439,6 +444,28 @@ def test_asserting_a_bare_atom_crashes_the_actor(atom):
     assert_crashed_cleanly(net, aid, f"TypeError: bare atom asserted: {atom!r}")
     assert seen == [PatchEvent(Patch({rec("ok", 1)}, ())), PatchEvent(Patch((), {rec("ok", 1)}))]
     assert dict(net.aggregate) == {observe(atom): 1, observe(rec("ok", 1)): 1}
+
+
+class Color(str, enum.Enum):
+    RED = "red"
+
+
+class N(enum.IntEnum):
+    RED = 0
+
+
+@pytest.mark.parametrize("member", [Color.RED, N.RED], ids=["str-enum", "int-enum"])
+def test_asserting_an_enum_member_crashes_only_its_actor(member):
+    # (paint Color.RED) would write the text of (paint "red"), a different
+    # assertion: the runtime would hold two where a replay of the trace holds one
+    net = new_network()
+    seen = []
+    watcher = net.spawn(recorder(seen), None, [PatchAction(Patch({observe(rec("paint", WILDCARD))}, ()))])
+    aid = net.spawn(idle, None, [PatchAction(Patch({rec("paint", member), rec("paint", "red")}, ()))])
+    net.run_until_quiescent(10)
+    assert_crashed_cleanly(net, aid, f"TypeError: not a pattern: {rec('paint', member)!r}")
+    assert watcher in net.actors and seen == []
+    assert [e["kind"] for e in net.trace.entries] == ["spawn", "patch-out", "spawn", "crash"]
 
 
 @pytest.mark.parametrize(
@@ -1005,13 +1032,59 @@ FACT = observe(rec("fact", WILDCARD))
 
 
 class FailingHook:
-    def on_spawn(self, aid, net):
+    def on_spawn(self, fresh_id):
         raise RuntimeError("hook")
 
 
 class NonIterableHook:
-    def on_spawn(self, aid, net):
+    def on_spawn(self, fresh_id):
         return 5
+
+
+class DrawingHook:
+    """Draws two ids from whatever its on_spawn is given, which must be one source."""
+
+    def __init__(self):
+        self.drawn = []
+
+    def on_spawn(self, *args):
+        (fresh_id,) = args
+        self.drawn += [fresh_id(), fresh_id()]
+        return ()
+
+
+def test_on_spawn_draws_from_its_own_networks_id_source():
+    net = new_network()
+    first, second, inner = DrawingHook(), DrawingHook(), DrawingHook()
+    net.spawn(idle, first)
+    child = net.spawn_nested()
+    child.spawn(idle, inner)
+    net.spawn(idle, second)
+    assert first.drawn == [0, 1] and second.drawn == [2, 3]
+    assert inner.drawn == [0, 1]  # a nested network counts again from 0
+    assert len(net.actors) == 3 and len(child.actors) == 1
+    assert not hasattr(net, "fresh_handshake_id")
+
+
+def test_reactive_scripts_draw_handshake_ids_in_call_order():
+    def script(ctx):
+        yield until(Asserted(rec("go", WILDCARD)))
+        yield forever()
+
+    net = new_network()
+    reactive_actor(net, script)
+    reactive_actor(net, script)
+    net.spawn(idle, None, [PatchAction(Patch({rec("go", 1)}, ()))])
+    net.run_until_quiescent(100)
+    # each state entered observes its handshake's result under the id it drew
+    drawn = [
+        (e["actor"], a[1][1])
+        for e in net.trace.entries
+        if e["kind"] == "patch-out"
+        for a in e["data"]["added"]
+        if a[0] == "observe" and a[1][0] == "state-result"
+    ]
+    assert drawn == [("g/0", 0), ("g/2", 1), ("g/0", 2), ("g/2", 3)]
 
 
 @pytest.mark.parametrize(

@@ -196,23 +196,20 @@ def test_bag_changes_fold_to_its_support(steps):
             if held[a]:
                 held[a] -= 1
                 removed.append(a)
-        walked = Bag(bag)
-        patch = bag.change(added, removed)
-        assert walked.crossings(added, removed) == (patch.added, patch.removed)
-        assert walked == bag
+        patch = Patch(*bag.crossings(added, removed))
         assert clamp_patch(patch, support) == patch  # a net change, nothing redundant
         support = apply_patch(support, patch)
         assert support == frozenset(bag)
 
 
 def test_bag_release_of_absent_assertion_raises():
-    bag = Bag()
-    assert bag.change([account(0), account(0)]) == Patch({account(0)}, ())
-    assert bag.change((), [account(0)]) is EMPTY_PATCH
-    assert bag.change([account(1)], [account(1)]) is EMPTY_PATCH
-    assert bag.change((), [account(0)]) == Patch((), {account(0)})
+    bag, none = Bag(), frozenset()
+    assert bag.crossings([account(0), account(0)]) == ({account(0)}, none)
+    assert bag.crossings((), [account(0)]) == (none, none)
+    assert bag.crossings([account(1)], [account(1)]) == (none, none)
+    assert bag.crossings((), [account(0)]) == (none, {account(0)})
     with pytest.raises(KeyError):
-        bag.change((), [account(0)])
+        bag.crossings((), [account(0)])
     with pytest.raises(KeyError):
         bag.crossings([account(2)], [account(0)])
     assert bag == Bag({account(2): 1})  # the changes before the over-release stay

@@ -1,4 +1,5 @@
 import copy
+import enum
 import gc
 import json
 import pickle
@@ -38,6 +39,7 @@ from dataspace import (
     erase,
     intersect,
     is_ground,
+    is_pattern,
     matches,
     observe,
     project_assertions,
@@ -201,7 +203,7 @@ def test_distinct_canonical_texts_are_distinct_members_and_bag_keys(vs):
     texts = Counter(canonical_encode(v) for v in vs)
     assert len(frozenset(vs)) == len(texts)
     bag = Bag()
-    bag.change(vs)
+    bag.crossings(vs)
     assert Counter({canonical_encode(k): n for k, n in bag.items()}) == texts
 
 
@@ -489,6 +491,33 @@ def test_a_capture_hole_sorts_after_every_atom_and_before_records():
 def test_a_non_pattern_has_no_canonical_form(write, bad):
     with pytest.raises(TypeError, match="not a pattern"):
         write(bad)
+
+
+class Color(str, enum.Enum):
+    RED = "red"
+
+
+class N(enum.IntEnum):
+    ONE = 1
+
+
+def test_a_symbol_name_or_record_label_of_another_type_is_refused():
+    # a symbol named 1 would write the canonical text [1], which no reader takes
+    with pytest.raises(TypeError, match="symbol name is not a str"):
+        rec(1)
+    with pytest.raises(TypeError, match="symbol name is not a str"):
+        Sym(Color.RED)
+    with pytest.raises(TypeError, match="record label is not a symbol"):
+        Record("a", ())
+
+
+@pytest.mark.parametrize("member", [Color.RED, N.ONE], ids=["str-enum", "int-enum"])
+def test_an_atom_subclass_member_is_no_value(member):
+    # its canonical text is the plain atom's, which names a different value
+    assert not is_pattern(member) and not is_pattern(rec("n", member))
+    assert not is_ground(member) and not is_ground(rec("n", member))
+    with pytest.raises(TypeError, match="not a pattern"):
+        canonical_encode(rec("n", member))
 
 
 def test_a_binder_prints_as_dollar_name():
