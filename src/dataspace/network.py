@@ -282,6 +282,8 @@ class Network:
         :func:`route` as two sets.  Receivers whose seen-bag change is equal
         share one PatchEvent, so one Patch is built per distinct change and,
         through the patch's cached trace form, one patch-in ``data`` object.
+        A change equal to the clamped patch itself gets that patch, so its
+        patch-ins share the patch-out's form and no second Patch is built.
         """
         entry = self.actors[aid]
         clamped = clamp_patch(patch, entry.asserted)
@@ -304,6 +306,7 @@ class Network:
         # a receiver's (gained, lost) -> the one event for it; frozenset keys,
         # as equal sets compare equal whatever order they were built in
         events: dict = {}
+        own = (clamped.added, clamped.removed)
         # aids only grow, so sorted order is the actor table's order
         for bid, (claims, releases) in route(
             self.support, self.interests, aid, clamped, gained, lost
@@ -312,7 +315,8 @@ class Network:
             if key[0] or key[1]:
                 event = events.get(key)
                 if event is None:
-                    event = events[key] = PatchEvent(Patch(*key))
+                    patch = clamped if key == own else Patch(*key)
+                    event = events[key] = PatchEvent(patch)
                 self._enqueue(bid, event)
 
     def _emit_ground(self, aid, kind: str, value) -> None:

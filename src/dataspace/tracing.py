@@ -4,7 +4,9 @@ Each entry is a flat JSON object {seq, actor, kind, data}; assertion sets
 inside patches are sorted by the canonical ordering so two runs of the same
 program serialize byte-identically.  A line is put together from its parts'
 texts, each record's from the text its form caches, and reads exactly as
-``json.dumps(entry, separators=(",", ":"))`` would write it.
+``json.dumps(entry, separators=(",", ":"))`` would write it.  Entries may
+share a ``data`` object (a ``patch-out`` and its ``patch-in``s can share one
+patch form); one render writes each shared object, label and kind once.
 """
 
 from __future__ import annotations
@@ -37,11 +39,25 @@ class TraceLog:
         )
 
     def lines(self) -> list[str]:
-        return [
-            f'{{"seq":{e["seq"]},"actor":{json_text(e["actor"])},'
-            f'"kind":{json_text(e["kind"])},"data":{_data_text(e["data"])}}}'
-            for e in self.entries
-        ]
+        # each data object, label and kind is written once per call: the
+        # entries keep every data object alive until the call returns, so no
+        # id is reused while the memo lives
+        texts: dict = {}  # id(data) -> its text
+        quoted: dict = {}  # label or kind -> its text
+        out = []
+        for e in self.entries:
+            data, actor, kind = e["data"], e["actor"], e["kind"]
+            text = texts.get(id(data))
+            if text is None:
+                text = texts[id(data)] = _data_text(data)
+            a = quoted.get(actor)
+            if a is None:
+                a = quoted[actor] = json_text(actor)
+            k = quoted.get(kind)
+            if k is None:
+                k = quoted[kind] = json_text(kind)
+            out.append(f'{{"seq":{e["seq"]},"actor":{a},"kind":{k},"data":{text}}}')
+        return out
 
 
 def _data_text(data) -> str:
@@ -60,8 +76,9 @@ def patch_jsonable(p: Patch) -> dict:
     """A patch's trace form: its added and removed forms, each in canonical order.
 
     The form is computed once per patch and kept on it, so every entry made
-    from one patch (the ``patch-in`` entries of one fan-out) shares one dict,
-    which must not be mutated.  A form that raises is never kept.
+    from one patch (the ``patch-in`` entries of one fan-out, and the sender's
+    ``patch-out`` when they see exactly its change) shares one dict, which
+    must not be mutated.  A form that raises is never kept.
     """
     form = p._json
     if form is None:

@@ -467,8 +467,15 @@ def from_jsonable(x):
 
 
 def canonical_encode(p) -> str:
-    """Render a pattern as canonical text (compact JSON); a record's is cached."""
-    return json_text(to_jsonable(p))
+    """Render a pattern as canonical text (compact JSON); a record's is cached.
+
+    Raises ValueError on a pattern nested deeper than either walk can recurse,
+    as canonical_decode raises MalformedText on such text.
+    """
+    try:
+        return json_text(to_jsonable(p))
+    except RecursionError as exc:
+        raise ValueError(f"nested too deeply: {exc}") from None
 
 
 @contextmanager

@@ -26,6 +26,7 @@ from dataspace import (
     Record,
     SpawnAction,
     Sym,
+    TraceLog,
     VisibilityMismatch,
     WILDCARD,
     aggregate_snapshots,
@@ -39,6 +40,7 @@ from dataspace import (
     until,
     visible,
 )
+from dataspace import tracing
 from dataspace.network import _step_nested
 from dataspace.scenarios import build_bank_account_plain
 from dataspace.values import to_jsonable
@@ -170,6 +172,18 @@ def test_one_fan_out_shares_one_event_and_one_trace_form():
     assert len(patch_ins) == 3
     assert all(e["data"] is patch_ins[0]["data"] for e in patch_ins)
 
+    # a change equal to the publisher's own patch is that patch, trace form and all
+    mark = len(net.trace.entries)
+    own = Patch({deposit(3)}, {account(2)})
+    net.interpret_action(publisher, PatchAction(own))
+    assert [aid for aid, _ in net.queue] == observers
+    assert net.queue[0][1].patch == own
+    net.run_until_quiescent(100)
+    (patch_out,) = [e for e in net.trace.entries[mark:] if e["kind"] == "patch-out"]
+    patch_ins = [e for e in net.trace.entries[mark:] if e["kind"] == "patch-in"]
+    assert len(patch_ins) == 3
+    assert all(e["data"] is patch_out["data"] for e in patch_ins)
+
     net.interpret_action(publisher, MessageAction(deposit(5)))
     assert [aid for aid, _ in net.queue] == observers
     assert len({id(event) for _, event in net.queue}) == 1
@@ -195,6 +209,33 @@ def test_a_fan_out_builds_as_many_patches_for_one_receiver_as_for_many(monkeypat
         net.interpret_action(publisher, action)
         counts.append(len(built))
         assert [aid for aid, _ in net.queue] == observers
+    assert counts == [counts[0]] * 3, counts
+
+
+def test_a_render_joins_a_fan_outs_patch_text_as_often_for_one_receiver_as_for_many(
+    monkeypatch,
+):
+    # the patch-ins of a fan-out share the patch-out's form, and one render
+    # writes each shared form once
+    joined = []
+    data_text = tracing._data_text
+    monkeypatch.setattr(tracing, "_data_text", lambda data: joined.append(data) or data_text(data))
+    counts = []
+    for n in (1, 4, 32):
+        net = new_network()
+        interest = Patch({observe(rec("presence", 1, WILDCARD))}, ())
+        for _ in range(n):
+            net.spawn(idle, None, [PatchAction(interest)])
+        publisher = net.spawn(idle, None)
+        net.run_until_quiescent(100)
+        mark = len(net.trace.entries)
+        net.interpret_action(publisher, PatchAction(Patch({rec("presence", 1, 7)}, ())))
+        net.run_until_quiescent(100)
+        fan_out = TraceLog(net.trace.entries[mark:])
+        assert len(fan_out.entries) == 1 + n
+        joined.clear()
+        assert fan_out.lines() == oracle_lines(fan_out)
+        counts.append(len(joined))
     assert counts == [counts[0]] * 3, counts
 
 

@@ -429,6 +429,16 @@ def test_canonical_encode_rejects_colliding_strings():
                 canonical_encode(bad)
 
 
+def test_canonical_encode_rejects_a_record_nested_too_deeply():
+    # as canonical_decode turns the same failure into MalformedText
+    v = 1
+    for _ in range(3000):
+        v = rec("a", v)
+    for _ in range(2):  # nothing half-walked is kept
+        with pytest.raises(ValueError, match="nested too deeply"):
+            canonical_encode(v)
+
+
 @given(text_value_strategy())
 def test_canonical_text_is_the_compact_json_of_the_form_cold_and_warm(v):
     want = json.dumps(to_jsonable(v), separators=(",", ":"))
