@@ -9,7 +9,10 @@ keeps a bag counting, per visible assertion, how many of its interests
 intersect it, and the crossings of those counts are its state change
 notifications.  ``check_visibility`` recounts all of this from scratch as a
 test oracle.  Scheduling is a single FIFO of (actor, event) pairs, so
-identical programs produce identical traces.
+identical programs produce identical traces: a fan-out joins it in one
+append of its receivers' pairs, in aid order, and each dispatch makes one
+call into actor code, ``step(event, state)``, inside the one crash boundary
+(an actor's startup is such a step too).
 """
 
 from __future__ import annotations
@@ -181,16 +184,17 @@ class Network:
         network's hooks.  Bad startup actions or a failing hook crash the new
         actor, not the caller.
         """
-        aid = self._register(_ActorEntry(behaviour=behaviour, state=state))
+        entry = _ActorEntry(behaviour=behaviour, state=state)
+        aid = self._register(entry)
 
-        def startup():
+        def startup(fresh_id, state):
             actions = list(startup_actions)
             hook = getattr(state, "on_spawn", None)
             if callable(hook):
-                actions.extend(hook(self._fresh_id))
+                actions.extend(hook(fresh_id))
             return Continue(state, actions)
 
-        self._run_actor(aid, startup)
+        self._run_actor(aid, entry, startup, self._fresh_id)
         return aid
 
     def spawn_nested(self) -> "Network":
@@ -212,7 +216,8 @@ class Network:
 
         With crash None the actor quits cleanly (a quit trace entry);
         otherwise crash is the detail of its crash trace entry.
-        Pending queued events addressed to the actor are discarded.
+        Pending queued events addressed to the actor are discarded; the
+        queue stays the same deque, the survivors in their order.
         """
         entry = self.actors.get(aid)
         if entry is None:
@@ -221,8 +226,12 @@ class Network:
         if entry.behaviour is _step_nested:
             entry.state._finalize_subtree()
         del self.actors[aid]
-        if self.queue:
-            self.queue = deque((b, e) for (b, e) in self.queue if b != aid)
+        queue = self.queue
+        if queue:
+            kept = [pair for pair in queue if pair[0] != aid]
+            if len(kept) < len(queue):
+                queue.clear()
+                queue.extend(kept)
         self.trace.emit(entry.label, "quit" if crash is None else "crash", crash)
 
     def _finalize_subtree(self) -> None:
@@ -240,18 +249,20 @@ class Network:
 
     # -- action interpretation ----------------------------------------------
 
-    def _run_actor(self, aid: tuple[int, ...], step: Callable, *args) -> None:
-        # The one crash boundary: step(*args) runs the actor's code, and
-        # everything that goes wrong from there to the end of its action list
-        # (a raise, a step result that is not Continue/None, a bad action, a
-        # non-value) terminates the actor alone with a crash entry.
+    def _run_actor(self, aid: tuple[int, ...], entry: _ActorEntry, step: Callable, arg) -> None:
+        # The one crash boundary, for startup and dispatch alike:
+        # step(arg, entry.state) runs the actor's code (its behaviour on an
+        # event, or spawn's startup on the fresh-id source), and everything
+        # that goes wrong from there to the end of its action list (a raise,
+        # a step result that is not Continue/None, a bad action, a non-value)
+        # terminates the actor alone with a crash entry.
         try:
-            result = step(*args)
+            result = step(arg, entry.state)
             if result is None:
                 return
             if not isinstance(result, Continue):
                 raise TypeError(f"step result is not Continue or None: {result!r}")
-            self.actors[aid].state = result.state
+            entry.state = result.state
             for act in result.actions:
                 self.interpret_action(aid, act)
         except Exception as exc:
@@ -307,6 +318,7 @@ class Network:
         # as equal sets compare equal whatever order they were built in
         events: dict = {}
         own = (clamped.added, clamped.removed)
+        pairs = []
         # aids only grow, so sorted order is the actor table's order
         for bid, (claims, releases) in route(
             self.support, self.interests, aid, clamped, gained, lost
@@ -317,7 +329,8 @@ class Network:
                 if event is None:
                     patch = clamped if key == own else Patch(*key)
                     event = events[key] = PatchEvent(patch)
-                self._enqueue(bid, event)
+                pairs.append((bid, event))
+        self._enqueue(pairs)
 
     def _emit_ground(self, aid, kind: str, value) -> None:
         # messages and displayed output carry ground values only
@@ -329,66 +342,80 @@ class Network:
         self._emit_ground(sender, "message", body)
         receivers = {bid for bid, _ in self.interests.matching(body)}
         event = MessageEvent(body)  # one event for every receiver
-        for bid in sorted(receivers):
-            self._enqueue(bid, event)
+        self._enqueue([(bid, event) for bid in sorted(receivers)])
 
     # -- scheduling -----------------------------------------------------------
 
-    def _enqueue(self, aid, event) -> None:
-        self.queue.append((aid, event))
-        if self._parent is not None:  # the ground network has no one to tell
-            self._notify_parent()
+    def _enqueue(self, pairs: list) -> None:
+        # a fan-out's (aid, event) pairs, in aid order, join the queue in one
+        # append, and a nested network tells its parent once; a fan-out that
+        # reached no one queues no tick
+        if pairs:
+            self.queue.extend(pairs)
+            if self._parent is not None:  # the ground network has no one to tell
+                self._notify_parent()
 
     def _notify_parent(self) -> None:
         # only a nested network, which has a parent, calls this
         if not self._tick_pending:
             self._tick_pending = True
-            self._parent._enqueue(self.path, _TICK)
+            self._parent._enqueue([(self.path, _TICK)])
 
     def dispatch_one(self, index: int = 0) -> bool:
         """Deliver one queued event to its actor; False when quiescent.
 
         index selects which queued event to take (default: oldest); tests
-        use it to explore alternative interleavings.  An index outside the
-        queue raises ValueError and dispatches nothing.  A nested network's
-        tick is an event like any other, so a tick whose child queue was
-        emptied meanwhile (its actor quit) is a dispatch that does nothing.
+        use it to explore alternative interleavings.  On an empty queue any
+        index returns False (a nested network's tick relies on this);
+        otherwise an index outside the queue raises ValueError and leaves
+        the queue and the trace as they were.  A nested network's tick is
+        an event like any other, so a tick whose child queue was emptied
+        meanwhile (its actor quit) is a dispatch that does nothing.  The
+        event reaches its actor through one call, ``behaviour(event,
+        state)``, inside :meth:`_run_actor`.
         """
-        if not self.queue:
+        queue = self.queue
+        if not queue:
             return False
-        if not 0 <= index < len(self.queue):
-            raise ValueError(f"no queued event at index {index} of {len(self.queue)}")
         if index:  # an explicit pick; the default takes the head in one popleft
-            aid, event = self.queue[index]
-            del self.queue[index]
+            if not 0 < index < len(queue):
+                raise ValueError(f"no queued event at index {index} of {len(queue)}")
+            aid, event = queue[index]
+            del queue[index]
         else:
-            aid, event = self.queue.popleft()
+            aid, event = queue.popleft()
         entry = self.actors[aid]
-        if isinstance(event, PatchEvent):
+        if type(event) is PatchEvent:
             self.trace.emit(entry.label, "patch-in", patch_jsonable(event.patch))
-        self._run_actor(aid, entry.behaviour, event, entry.state)
+        self._run_actor(aid, entry, entry.behaviour, event)
         return True
 
     def run_until_quiescent(self, max_steps: int, *, pick=None, after_step=None) -> int:
         """Dispatch until the queue drains; NonQuiescent past max_steps.
 
-        This is the only loop around :meth:`dispatch_one`.  pick, given the
-        queue length, chooses which queued event to dispatch next (default:
-        the oldest; an index outside the queue raises ValueError); tests use
-        it to explore alternative interleavings.
-        after_step, if given, runs after every dispatch; passing
-        :meth:`check_visibility` recounts visibility from scratch each step.
-        Returns the number of dispatches made.
+        This is the only loop around :meth:`dispatch_one`, and it makes one
+        ``dispatch_one`` call per event.  pick, given the queue length,
+        chooses which queued event to dispatch next (default: the oldest;
+        an index outside the queue raises ValueError); it is called only
+        while the queue is non-empty.  Tests use it to explore alternative
+        interleavings.  after_step, if given, runs after every dispatch;
+        passing :meth:`check_visibility` recounts visibility from scratch
+        each step.  Returns the number of dispatches made.
         """
         if max_steps <= 0:
             raise ValueError("max_steps must be positive")
+        dispatch = self.dispatch_one
+        queue = self.queue
         for steps in range(max_steps):
-            index = pick(len(self.queue)) if pick is not None and self.queue else 0
-            if not self.dispatch_one(index):
+            if pick is not None and queue:
+                dispatched = dispatch(pick(len(queue)))
+            else:
+                dispatched = dispatch()
+            if not dispatched:
                 return steps
             if after_step is not None:
                 after_step()
-        if self.queue:
+        if queue:
             raise NonQuiescent(max_steps)
         return max_steps
 

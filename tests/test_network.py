@@ -41,7 +41,7 @@ from dataspace import (
     visible,
 )
 from dataspace import tracing
-from dataspace.network import _step_nested
+from dataspace.network import _TICK, Network, _step_nested
 from dataspace.scenarios import build_bank_account_plain
 from dataspace.values import to_jsonable
 
@@ -237,6 +237,48 @@ def test_a_render_joins_a_fan_outs_patch_text_as_often_for_one_receiver_as_for_m
         assert fan_out.lines() == oracle_lines(fan_out)
         counts.append(len(joined))
     assert counts == [counts[0]] * 3, counts
+
+
+@pytest.mark.parametrize("kind", ["message", "patch"])
+def test_a_fan_out_joins_the_queue_in_one_append_for_one_receiver_as_for_many(
+    monkeypatch, kind
+):
+    # a message or patch fanned out to n observers is one _enqueue call
+    calls = []
+    enqueue = Network._enqueue
+    monkeypatch.setattr(
+        Network, "_enqueue", lambda net, *args: calls.append(args) or enqueue(net, *args)
+    )
+    counts = []
+    for n in (1, 4, 32):
+        net = new_network()
+        interest = Patch({observe(rec("presence", 1, WILDCARD))}, ())
+        observers = [net.spawn(idle, None, [PatchAction(interest)]) for _ in range(n)]
+        publisher = net.spawn(idle, None)
+        net.run_until_quiescent(100)
+        value = rec("presence", 1, 7)
+        action = MessageAction(value) if kind == "message" else PatchAction(Patch({value}, ()))
+        calls.clear()
+        net.interpret_action(publisher, action)
+        counts.append(len(calls))
+        assert [aid for aid, _ in net.queue] == observers
+    assert counts == [1, 1, 1], counts
+
+
+def test_a_nested_fan_out_queues_its_receivers_in_order_and_one_tick():
+    # the receivers subscribe in reverse aid order, so the index lists them
+    # that way; the child queue holds them sorted, the ground queue one tick
+    net = new_network()
+    inner = net.spawn_nested()
+    receivers = [inner.spawn(idle, None) for _ in range(3)]
+    sender = inner.spawn(idle, None)
+    for aid in reversed(receivers):
+        inner.interpret_action(aid, PatchAction(Patch({observe(rec("m", WILDCARD))}, ())))
+    net.run_until_quiescent(100)
+    assert not net.queue and not inner.queue
+    inner.interpret_action(sender, MessageAction(rec("m", 1)))
+    assert list(net.queue) == [(inner.path, _TICK)]
+    assert list(inner.queue) == [(aid, MessageEvent(rec("m", 1))) for aid in receivers]
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -579,6 +621,46 @@ def test_an_out_of_range_pick_raises_and_dispatches_nothing(pick):
     with pytest.raises(ValueError, match="no queued event"):
         net.run_until_quiescent(50, pick=pick)
     assert list(net.queue) == queued and seen == []
+
+
+@pytest.mark.parametrize("index", [3, -1])
+def test_dispatch_one_at_an_index_outside_the_queue_raises_and_changes_nothing(index):
+    net, seen = _three_queued_messages()
+    queued, entries = list(net.queue), list(net.trace.entries)
+    with pytest.raises(ValueError, match="no queued event"):
+        net.dispatch_one(index)
+    assert list(net.queue) == queued and net.trace.entries == entries and seen == []
+
+
+def test_dispatch_one_on_an_empty_queue_is_false_at_any_index():
+    # a nested network's tick may find its child's queue already empty
+    net = new_network()
+    assert net.dispatch_one(3) is False
+    assert net.dispatch_one() is False
+
+
+def test_terminating_an_actor_filters_the_queue_in_place():
+    # the queue is one deque for the network's life: run_until_quiescent
+    # holds it across dispatches
+    net = new_network()
+    got = []
+
+    def record(event, state):
+        got.append(event.body.fields[0])
+
+    interest = Patch({observe(rec("n", WILDCARD))}, ())
+    first, doomed, last = (net.spawn(record, None, [PatchAction(interest)]) for _ in range(3))
+    kicker = net.spawn(idle, None)
+    for i in range(2):
+        net.interpret_action(kicker, MessageAction(rec("n", i)))
+    q = net.queue
+    assert [aid for aid, _ in q] == [first, doomed, last] * 2
+    net.terminate_actor(doomed)
+    assert net.queue is q
+    assert [aid for aid, _ in q] == [first, last] * 2
+    assert [event.body for _, event in q] == [rec("n", 0)] * 2 + [rec("n", 1)] * 2
+    net.run_until_quiescent(10)
+    assert got == [0, 0, 1, 1]
 
 
 def test_a_pick_of_the_last_index_dispatches_the_newest_event():
