@@ -62,7 +62,8 @@ class Patch:
         return f"Patch(+{set(self.added) or '{}'} -{set(self.removed) or '{}'})"
 
 
-EMPTY_PATCH = Patch(frozenset(), frozenset())
+_EMPTY = frozenset()
+EMPTY_PATCH = Patch(_EMPTY, _EMPTY)
 
 
 def apply_patch(s: frozenset, p: Patch) -> frozenset:
@@ -94,9 +95,9 @@ class Bag(Counter):
     def crossings(self, added=(), removed=()) -> tuple[frozenset, frozenset]:
         """Claim one copy of each of added, then release one of each of removed.
 
-        Returns the net change in support as (gained, lost).  Raises KeyError
-        when a count would go below zero, leaving the changes before it in
-        place.
+        Returns the net change in support as (gained, lost), an empty side as
+        one shared empty frozenset.  Raises KeyError when a count would go
+        below zero, leaving the changes before it in place.
         """
         gained, lost = set(), set()
         for a in added:
@@ -116,7 +117,10 @@ class Bag(Counter):
                     lost.add(a)
             else:
                 raise KeyError(a)
-        return frozenset(gained), frozenset(lost)
+        return (
+            frozenset(gained) if gained else _EMPTY,
+            frozenset(lost) if lost else _EMPTY,
+        )
 
 
 def observed(s: Iterable):
@@ -161,19 +165,25 @@ def _slot_keys(p):
     # the wildcard); a top-level wildcard and each bare atom by themselves.
     # A pattern is settled when its slot and bucket decide every intersection
     # with it: every pattern is, except a record whose first field is a record
-    # or whose later fields are not all wildcards.
+    # or whose later fields are not all wildcards.  A record's keys are
+    # computed once and kept on it.
     if isinstance(p, Record):
-        fields = p.fields
-        if not fields:
-            return (p.label, 0), None, True
-        f, rest = fields[0], fields[1:]
-        if isinstance(f, Record):
-            return (p.label, len(fields)), (f.label, len(f.fields)), False
-        return (p.label, len(fields)), _atom_key(f), rest.count(WILDCARD) == len(rest)
+        keys = p._keys
+        if keys is None:
+            keys = _record_keys(p)
+            object.__setattr__(p, "_keys", keys)
+        return keys
     return _atom_key(p), None, True
 
 
-_NO_PAIRS = ((), ())  # an absent bucket's (settled, other) pairs
+def _record_keys(p):
+    fields = p.fields
+    if not fields:
+        return (p.label, 0), None, True
+    f, rest = fields[0], fields[1:]
+    if isinstance(f, Record):
+        return (p.label, len(fields)), (f.label, len(f.fields)), False
+    return (p.label, len(fields)), _atom_key(f), rest.count(WILDCARD) == len(rest)
 
 
 class Index:
@@ -211,24 +221,38 @@ class Index:
 
     def matching(self, q) -> list:
         """The (holder, pattern) pairs whose pattern intersects q, each pair once."""
+        slots = self._slots
         if q is WILDCARD:
             exact = True
-            groups = [pairs for buckets in self._slots.values() for pairs in buckets.values()]
+            groups = [pairs for buckets in slots.values() for pairs in buckets.values()]
         else:
             slot, bucket, exact = _slot_keys(q)
-            buckets = self._slots.get(slot, {})
-            if bucket is WILDCARD:
+            buckets = slots.get(slot)
+            wild = slots.get(WILDCARD)  # the top-level wildcard's one bucket
+            if buckets is None:
+                if wild is None:
+                    return []
+                groups = []
+            elif bucket is WILDCARD:
                 groups = list(buckets.values())
-            else:  # an atom or a zero-field record has no wildcard bucket
-                groups = [buckets.get(bucket, _NO_PAIRS), buckets.get(WILDCARD, _NO_PAIRS)]
-            groups.extend(self._slots.get(WILDCARD, {}).values())
+            else:
+                pairs = buckets.get(bucket)
+                groups = [] if pairs is None else [pairs]
+                if bucket is not None:  # an atom or a zero-field record has no wildcard bucket
+                    pairs = buckets.get(WILDCARD)
+                    if pairs is not None:
+                        groups.append(pairs)
+            if wild is not None:
+                groups.extend(wild.values())
         found = []
         for settled, other in groups:
-            found.extend(settled)
-            if exact:
-                found.extend(other)
-            elif other:
-                found.extend(pair for pair in other if intersect(pair[1], q) is not None)
+            if settled:
+                found.extend(settled)
+            if other:
+                if exact:
+                    found.extend(other)
+                else:
+                    found.extend(pair for pair in other if intersect(pair[1], q) is not None)
         return found
 
 

@@ -13,6 +13,11 @@ only an assertion's first claim and last release reach the network, so facets
 that claim the same assertion never interfere, and leaving the state releases
 the whole mux.  Each triggering value is matched against a clause once; the
 body's bindings are the captures of that unified value.
+
+A compiled state holds what its clauses decide once: the ``observe`` record
+of each clause's subscription, which installing the state claims as it is,
+and the positions of each clause's binders, so that a clause without
+binders extracts nothing from its triggers.
 """
 
 from __future__ import annotations
@@ -33,9 +38,10 @@ from .network import (
 )
 from .patches import Bag, Patch
 from .values import (
-    Bind,
+    WILDCARD,
     Record,
     Sym,
+    capture_positions,
     captures,
     compile_surface,
     intersect,
@@ -130,19 +136,24 @@ class _Clause:
 
     kind: str  # message | asserted | retracted | rising-edge
     subscription: Any = None
-    extraction: Any = None
+    binders: tuple = ()  # the position of each binder (values.capture_positions)
     predicate: Optional[Callable] = None
     body: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
 class StateSpec:
-    """Compiled state: collected bindings, facets, termination clauses."""
+    """Compiled state: collected bindings, facets, termination clauses.
+
+    ``subs`` holds the ``observe`` record of each facet's and termination
+    clause's subscription (rising edges have none), claimed at install.
+    """
 
     collect: tuple
     asserts: tuple
     ons: tuple
     whens: tuple
+    subs: tuple
 
 
 def _contains_reserved(p) -> bool:
@@ -156,6 +167,9 @@ def _check_arity(fn: Callable, expected: int, what: str) -> None:
         params = list(inspect.signature(fn).parameters.values())
     except (TypeError, ValueError):
         return
+    for p in params:
+        if p.kind == p.KEYWORD_ONLY and p.default is p.empty:
+            raise ValueError(f"{what} requires keyword-only arg {p.name!r}, which no call passes")
     if any(p.kind == p.VAR_POSITIONAL for p in params):
         return
     positional = [
@@ -183,7 +197,7 @@ def _compile_clause(spec, body, n: int, what: str) -> _Clause:
         raise ValueError(f"pattern uses the reserved label {RESERVED_LABEL!r}")
     if body is not None:
         _check_arity(body, 1 + n + len(names), what.format(kind=kind))
-    return _Clause(kind, subscription, extraction, body=body)
+    return _Clause(kind, subscription, capture_positions(extraction), body=body)
 
 
 def state(*, collect=(), facets=(), stop=()) -> StateSpec:
@@ -204,7 +218,8 @@ def state(*, collect=(), facets=(), stop=()) -> StateSpec:
         else:
             raise TypeError(f"not a facet: {f!r}")
     whens = tuple(_compile_clause(w.spec, w.body, n, "termination body") for w in stop)
-    return StateSpec(collect, tuple(asserts), tuple(ons), whens)
+    subs = tuple(observe(c.subscription) for c in (*ons, *whens) if c.kind != "rising-edge")
+    return StateSpec(collect, tuple(asserts), tuple(ons), whens, subs)
 
 
 def until(spec, *, collect=(), facets=(), body=None) -> StateSpec:
@@ -311,9 +326,9 @@ class ReactiveState:
 
     def _enter_state(self, spec: StateSpec) -> None:
         sid = self._fresh_sid()
-        sub, ext, _ = compile_surface(rec(RESERVED_LABEL, sid, Bind("payload")))
-        watcher = _Clause("asserted", sub, ext, body=lambda ctx, payload: payload)
-        self.install_group(StateSpec((), (), (), (watcher,)))
+        sub = rec(RESERVED_LABEL, sid, WILDCARD)  # (state-result sid $payload)
+        watcher = _Clause("asserted", sub, _PAYLOAD, body=_payload)
+        self.install_group(StateSpec((), (), (), (watcher,), (observe(sub),)))
         self._buffer(_spawn(ReactiveState(None, _initial=(spec, sid))))
 
     def _resume_script(self, raw) -> None:
@@ -347,9 +362,7 @@ class ReactiveState:
         self._spec = spec
         self._collected = tuple(init for _, init in spec.collect)
         self._asserting = [f.template(*self._collected) for f in spec.asserts]
-        clauses = (*spec.ons, *spec.whens)
-        subs = [observe(c.subscription) for c in clauses if c.kind != "rising-edge"]
-        self._change_mux((*subs, *self._asserting))
+        self._change_mux((*spec.subs, *self._asserting))
         self._check_stop(None)
 
     def teardown_group(self) -> None:
@@ -367,7 +380,8 @@ class ReactiveState:
         # 1. facet bodies fold the collected tuple
         for c in self._spec.ons:
             for unified in _triggers(c, event):
-                result = c.body(self.ctx, *self._collected, *captures(c.extraction, unified))
+                bound = captures(c.binders, unified) if c.binders else ()
+                result = c.body(self.ctx, *self._collected, *bound)
                 self._collected = self._fold(result)
         # 2. assert facets re-evaluate against the new collected tuple
         self._refresh_asserts()
@@ -404,7 +418,7 @@ class ReactiveState:
             else:
                 hits = _triggers(w, event)
                 if hits:
-                    self._fire(w, captures(w.extraction, hits[0]))
+                    self._fire(w, captures(w.binders, hits[0]) if w.binders else ())
                     return
 
     def _fire(self, w: _Clause, bindings: tuple) -> None:
@@ -424,7 +438,17 @@ def _triggers(c: _Clause, event) -> list:
         return []
     pool = event.patch.added if c.kind == "asserted" else event.patch.removed
     hits = {a: u for a in pool if (u := intersect(c.subscription, a)) is not None}
+    if len(hits) < 2:  # fewer than two need no sort
+        return list(hits.values())
     return [hits[a] for a in sort_patterns(hits)]
+
+
+_PAYLOAD = ((1,),)  # the payload's position in (state-result sid payload)
+
+
+def _payload(ctx, payload):
+    # a script's watcher: its result is the host's payload
+    return payload
 
 
 def _pack_values(raw) -> Record:

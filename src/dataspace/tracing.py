@@ -82,12 +82,14 @@ def patch_jsonable(p: Patch) -> dict:
     """
     form = p._json
     if form is None:
-        form = {
-            "added": [to_jsonable(a) for a in sort_patterns(p.added)],
-            "removed": [to_jsonable(a) for a in sort_patterns(p.removed)],
-        }
+        form = {"added": _forms(p.added), "removed": _forms(p.removed)}
         object.__setattr__(p, "_json", form)
     return form
+
+
+def _forms(s: frozenset) -> list:
+    # a set of fewer than two needs no sort
+    return list(map(to_jsonable, sort_patterns(s) if len(s) > 1 else s))
 
 
 def aggregate_snapshots(trace, lens) -> list[frozenset]:

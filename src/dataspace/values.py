@@ -12,10 +12,15 @@ are identity, which makes them cheap and type-strict all the way down: the
 record ``(a 1)`` is not ``(a #t)``, as in canonical text.  Bare atoms are
 of exact type ``str``, ``int`` or ``bool``, as an enum member's text is the
 plain atom's.  A bare ``1`` still equals ``True``, so the network accepts
-only records and the wildcard as assertions.  A record caches its canonical
-sort key and JSON form, and the form keeps its canonical text once it is
-first rendered, so a trace writes each record's text once however often the
-record appears.
+only records and the wildcard as assertions.
+
+A record's fields never change, so neither does anything they decide.  A
+record caches four such facts, each worked out on first use: its canonical
+sort key; its JSON form, which keeps its canonical text once first rendered,
+so a trace writes each record's text once however often the record appears;
+its index keys (``patches.Index`` files and looks it up by them); and its
+kind, a value, a pattern holding a wildcard, or neither, which answers both
+``is_ground`` and ``is_pattern``.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ __all__ = [
     "canonical_decode",
     "canonical_encode",
     "canonical_key",
+    "capture_positions",
     "captures",
     "compile_surface",
     "erase",
@@ -184,10 +190,11 @@ WILDCARD = _Wildcard()
 class Record(_Interned):
     """Labelled record with an ordered field tuple.
 
-    Its canonical sort key and JSON form are computed once, on first use.
+    Its canonical sort key, JSON form, index keys and kind are computed once,
+    on first use.
     """
 
-    __slots__ = ("label", "fields", "_sort_key", "_json")
+    __slots__ = ("label", "fields", "_sort_key", "_json", "_keys", "_kind")
 
     def __new__(cls, label, fields):
         fields = tuple(fields)
@@ -201,6 +208,8 @@ class Record(_Interned):
             _set(self, "fields", fields)
             _set(self, "_sort_key", None)
             _set(self, "_json", None)
+            _set(self, "_keys", None)
+            _set(self, "_kind", None)
             self = _file(self, key)
         return self
 
@@ -255,20 +264,39 @@ def observe(p) -> Record:
     return rec(OBSERVE, p)
 
 
+# kinds, ordered so that a record's kind is the least of its fields' kinds
+_NEITHER, _WILD, _GROUND = 0, 1, 2
+
+
+def _kind(p) -> int:
+    """A value (_GROUND), a pattern holding a wildcard (_WILD), or neither.
+
+    A record's kind is computed once, on first use.
+    """
+    if isinstance(p, Record):
+        kind = p._kind
+        if kind is None:
+            kind = _GROUND
+            for f in p.fields:
+                if type(f) not in _ATOMS:  # an atom is a value: no call needed
+                    k = _kind(f)
+                    if k < kind:
+                        kind = k
+            _set(p, "_kind", kind)
+        return kind
+    if p is WILDCARD:
+        return _WILD
+    return _GROUND if type(p) in _ATOMS or isinstance(p, Sym) else _NEITHER
+
+
 def is_pattern(p) -> bool:
     """True for wildcards, atoms of the supported kinds, and records thereof."""
-    if p is WILDCARD or type(p) in _ATOMS or isinstance(p, Sym):
-        return True
-    if isinstance(p, Record):
-        return all(is_pattern(f) for f in p.fields)
-    return False
+    return _kind(p) != _NEITHER
 
 
 def is_ground(p) -> bool:
     """True for values: atoms of the supported kinds, and records thereof."""
-    if isinstance(p, Record):
-        return all(is_ground(f) for f in p.fields)
-    return type(p) in _ATOMS or isinstance(p, Sym)
+    return _kind(p) == _GROUND
 
 
 def intersect(p, q):
@@ -321,20 +349,38 @@ def erase(proj):
     return proj
 
 
-def captures(proj, unified) -> tuple:
-    """The values under proj's capture holes in unified, left to right.
+def capture_positions(proj) -> tuple:
+    """The position of each capture hole in proj, left to right.
 
-    unified is a value that proj's erasure matched, narrowed by it (their
+    A position is the tuple of field indices leading from the root to the
+    hole; a hole at the root is at ``()``.
+    """
+    if isinstance(proj, Capture):
+        return ((),)
+    if isinstance(proj, Record):
+        return tuple(
+            (i, *pos) for i, f in enumerate(proj.fields) for pos in capture_positions(f)
+        )
+    return ()
+
+
+def captures(positions, unified) -> tuple:
+    """The values at a projection's capture positions in unified, in order.
+
+    positions are :func:`capture_positions` of the projection, and unified is
+    a value that the projection's erasure matched, narrowed by it (their
     intersection).  Raises CaptureUnbounded when a capture hole holds a
     wildcard.
     """
-    if isinstance(proj, Capture):
-        if not is_ground(unified):
-            raise CaptureUnbounded(f"wildcard under capture hole: {unified!r}")
-        return (unified,)
-    if isinstance(proj, Record):
-        return tuple(c for pf, uf in zip(proj.fields, unified.fields) for c in captures(pf, uf))
-    return ()
+    out = []
+    for pos in positions:
+        v = unified
+        for i in pos:
+            v = v.fields[i]
+        if not is_ground(v):
+            raise CaptureUnbounded(f"wildcard under capture hole: {v!r}")
+        out.append(v)
+    return tuple(out)
 
 
 def project_assertions(assertions: Iterable, proj) -> list:
@@ -346,11 +392,12 @@ def project_assertions(assertions: Iterable, proj) -> list:
     decides policy.
     """
     stripped = erase(proj)
+    positions = capture_positions(proj)
     out = {}
     for a in assertions:
         unified = intersect(stripped, a)
         if unified is not None:
-            caps = captures(proj, unified)
+            caps = captures(positions, unified)
             out.setdefault(tuple(map(canonical_key, caps)), caps)
     return [out[k] for k in sorted(out)]
 

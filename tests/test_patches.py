@@ -25,7 +25,7 @@ from dataspace import (
     traces_equivalent,
     visible,
 )
-from dataspace.patches import Index
+from dataspace.patches import Index, _record_keys
 
 
 def account(x):
@@ -290,3 +290,17 @@ def test_index_matching_is_exactly_the_filed_pairs_that_intersect(ops, extra):
     assert all(s or o for buckets in index._slots.values() for s, o in buckets.values())
     if not filed:
         assert index._slots == {}
+
+
+def test_a_record_files_finds_and_unfiles_itself_by_keys_computed_once(monkeypatch):
+    computed = []
+    monkeypatch.setattr(
+        "dataspace.patches._record_keys", lambda p: computed.append(p) or _record_keys(p)
+    )
+    p = rec("keys-once", 1, WILDCARD)  # a label no other test uses: built here
+    index = Index()
+    index.add(p, 0)
+    assert index.matching(p) == [(0, p)]
+    index.remove(p, 0)
+    assert index.matching(p) == []
+    assert computed == [p]

@@ -1,5 +1,8 @@
+import gc
+
 import pytest
 
+from dataspace import values
 from dataspace import (
     Assert,
     Asserted,
@@ -437,17 +440,17 @@ def test_wildcard_under_binder_crashes_actor():
     net = new_network()
 
     def script(ctx):
-        yield forever(facets=[On(Asserted(rec("f", Bind("x"))), lambda ctx, x: None)])
+        yield forever(facets=[On(Asserted(rec("x", Bind("v"))), lambda ctx, v: None)])
 
-    reactive_actor(net, script)
+    reactive_actor(net, script)  # g/0; its state host is g/1
     net.run_until_quiescent(20)
     asserter = net.spawn(lambda e, s: None, None)
-    net.interpret_action(asserter, PatchAction(Patch({rec("f", WILDCARD)}, ())))
+    net.interpret_action(asserter, PatchAction(Patch({rec("x", WILDCARD)}, ())))
     net.run_until_quiescent(30)
-    assert any(
-        e["kind"] == "crash" and "capture" in e["data"].lower()
-        for e in net.trace.entries
-    )
+    assert crashes(net) == [("g/1", "CaptureUnbounded: wildcard under capture hole: _")]
+    assert asserter in net.actors and (0,) in net.actors
+    assert net.aggregate[rec("x", WILDCARD)] == 1  # the peer's assertion stays
+    net.check_visibility()
 
 
 def test_body_arity_checked_at_construction():
@@ -458,6 +461,28 @@ def test_body_arity_checked_at_construction():
         )
     with pytest.raises(ValueError):
         state(collect=[("a", 0)], facets=[Assert(lambda a, b: a)])
+
+
+@pytest.mark.parametrize(
+    "facet",
+    [
+        On(Message(rec("m")), lambda ctx, *, x: None),
+        On(Message(rec("m")), lambda ctx, *more, x: None),
+        Assert(lambda *, x: rec("a")),
+        When(RisingEdge(lambda *, x: True)),
+        When(Message(rec("m")), lambda ctx, *, x: None),
+    ],
+    ids=["on-body", "varargs-body", "template", "predicate", "stop-body"],
+)
+def test_a_required_keyword_only_parameter_is_refused_at_construction(facet):
+    # no call passes a keyword argument, so such a callable could only crash
+    facets, stop = ([], [facet]) if isinstance(facet, When) else ([facet], [])
+    with pytest.raises(ValueError, match="keyword-only arg 'x'"):
+        state(facets=facets, stop=stop)
+
+
+def test_a_keyword_only_parameter_with_a_default_is_accepted():
+    state(facets=[On(Message(rec("m")), lambda ctx, *, x=1: None)])
 
 
 def test_wrong_fold_width_crashes_at_runtime():
@@ -633,3 +658,56 @@ def test_reactive_observer_equivalent_to_plain_observer():
     assert displays(net_plain, "g/1") == [0, 100, 70]
     # the extra reactive observer sees the same balance stream
     assert displays(net_reactive, "g/4") == [0, 100, 70]
+
+
+def state_entry_filings(entries: int, filed: list) -> list:
+    """What ``filed`` gains in each round of a script that enters one compiled
+    state ``entries`` times, a ``(stop)`` ending each entry, as printed.
+
+    ``filed`` collects every instance ``values._file`` files; the rounds hold
+    their text, so that no instance outlives its run.  Round 0 spawns
+    the script and enters the state; round k ends entry k and enters the
+    next; the last round ends the script.
+    """
+    gc.collect()  # so that no record of an earlier run is still filed
+    stop = rec("stop")
+    again = state(
+        facets=[On(Message(rec("ping", Bind("x"))), lambda ctx, x: None)],
+        stop=[When(Message(stop))],
+    )
+
+    def script(ctx):
+        for _ in range(entries):
+            yield again
+
+    net = new_network()
+    kicker = net.spawn(lambda e, s: None, None)
+    filed.clear()
+    rounds = []
+    reactive_actor(net, script)
+    for _ in range(entries + 1):
+        net.run_until_quiescent(100)
+        rounds.append([repr(obj) for obj in filed])
+        filed.clear()
+        net.interpret_action(kicker, MessageAction(stop))
+    assert len(net.actors) == 1  # the script finished; only the kicker is left
+    return rounds
+
+
+def test_entering_a_state_again_files_a_fixed_count_and_none_of_its_observes(monkeypatch):
+    filed = []
+    file = values._file
+    monkeypatch.setattr(values, "_file", lambda obj, key: filed.append(obj) or file(obj, key))
+    counts = {}
+    for n in (1, 4, 16):
+        rounds = state_entry_filings(n, filed)
+        counts[n] = [len(r) for r in rounds[:n]]  # the rounds that enter the state
+        for new in rounds[1:n]:
+            # the state's own observe records were filed once, when it was
+            # compiled; an entry files only its watcher's, which names a fresh sid
+            observes = [text for text in new if text.startswith("(observe ")]
+            assert [text.split()[1] for text in observes] == ["(state-result"]
+    # round 1 also files the first result's (values); from round 2 on, every
+    # entry files the same count, whatever the number of entries
+    assert all(counts[n] == counts[16][:n] for n in (1, 4))
+    assert len(set(counts[16][2:])) == 1

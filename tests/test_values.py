@@ -1,6 +1,7 @@
 import copy
 import enum
 import gc
+import itertools
 import json
 import pickle
 import sys
@@ -9,7 +10,7 @@ from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from conftest import (
     TYPED_ATOM_VOCAB,
@@ -528,6 +529,42 @@ def test_an_atom_subclass_member_is_no_value(member):
     assert not is_ground(member) and not is_ground(rec("n", member))
     with pytest.raises(TypeError, match="not a pattern"):
         canonical_encode(rec("n", member))
+
+
+# -- kinds -------------------------------------------------------------------------
+
+
+def reference_kind(p) -> tuple[bool, bool]:
+    """(is_pattern, is_ground) of p by a plain recursive walk."""
+    if isinstance(p, Record):
+        kinds = [reference_kind(f) for f in p.fields]
+        return all(k[0] for k in kinds), all(k[1] for k in kinds)
+    atom = type(p) in (str, int, bool) or isinstance(p, Sym)
+    return atom or p is WILDCARD, atom
+
+
+# trees whose leaves may be values, wildcards, capture holes, binders or 1.5
+KIND_TREES = st.recursive(
+    st.sampled_from(TYPED_ATOM_VOCAB + (WILDCARD, Capture(), Capture(rec("a", 1)), Bind("x"), 1.5)),
+    lambda children: st.builds(
+        lambda label, fields: rec(label, *fields),
+        st.sampled_from(("f", "g")),
+        st.lists(children, max_size=3),
+    ),
+    max_leaves=8,
+)
+FRESH = itertools.count()
+
+
+@given(KIND_TREES)
+@example(rec("f", rec("g", 1.5)))
+@example(rec("f", rec("g", 1, WILDCARD), rec("g", Capture())))
+@example(rec("f", rec("g", 1), rec("g")))
+def test_is_pattern_and_is_ground_answer_as_a_recursive_walk_cold_and_cached(tree):
+    fresh = rec(f"fresh-{next(FRESH)}", tree)  # built here, so its kind is not yet known
+    assert fresh._kind is None
+    for p in (fresh, tree, fresh, tree):  # the second pass reads the cached kinds
+        assert (is_pattern(p), is_ground(p)) == reference_kind(p)
 
 
 def test_a_binder_prints_as_dollar_name():
