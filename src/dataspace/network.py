@@ -7,8 +7,11 @@ interest and every supported assertion in an index, so a patch or message
 reaches only the actors whose interests intersect what changed; each actor
 keeps a bag counting, per visible assertion, how many of its interests
 intersect it, and the crossings of those counts are its state change
-notifications.  ``check_visibility`` recounts all of this from scratch as a
-test oracle.  Scheduling is a single FIFO of (actor, event) pairs, so
+notifications.  A message goes to the holders the interests index returns,
+sorted; the index keeps each key's list until an interest in that slot is
+filed or unfiled, since interests change far less often than messages flow.
+``check_visibility`` recounts all of this from scratch as a test oracle.
+Scheduling is a single FIFO of (actor, event) pairs, so
 identical programs produce identical traces: a fan-out joins it in one
 append of its receivers' pairs, in aid order, and each dispatch makes one
 call into actor code, ``step(event, state)``, inside the one crash boundary
@@ -340,9 +343,8 @@ class Network:
 
     def _send_message(self, sender, body) -> None:
         self._emit_ground(sender, "message", body)
-        receivers = {bid for bid, _ in self.interests.matching(body)}
         event = MessageEvent(body)  # one event for every receiver
-        self._enqueue([(bid, event) for bid in sorted(receivers)])
+        self._enqueue([(bid, event) for bid in self.interests.holders(body)])
 
     # -- scheduling -----------------------------------------------------------
 

@@ -5,7 +5,11 @@ mechanism for changing shared state.  A bag counts how many holders claim
 each assertion; only its support is ever seen.  An index files patterns so
 that a lookup returns exactly those that intersect a query, confirming with
 ``intersect`` only the pairs its keys do not decide, and ``route`` turns one
-clamped patch into per-actor claims and releases through two of them.
+clamped patch into per-actor claims and releases through two of them.  An
+index also answers which holders a query reaches, sorted, and keeps that
+answer per slot and bucket, when the keys decide it, until a pattern is filed
+in or unfiled from that slot (or the top-level wildcard's); it never keeps
+more answers than it has filed buckets plus filed slots.
 ``visible`` recounts an actor's visible set from scratch; the network's
 oracle compares it with what the indexes delivered.
 """
@@ -186,6 +190,9 @@ def _record_keys(p):
     return (p.label, len(fields)), _atom_key(f), rest.count(WILDCARD) == len(rest)
 
 
+_UNFILED = object()  # the kept-list key of a query whose bucket is not filed
+
+
 class Index:
     """Patterns filed by shape and first field, each under the holder filing it.
 
@@ -193,13 +200,25 @@ class Index:
     rest: a settled pattern intersects every query that reaches its bucket,
     and so does any pattern when the query is settled itself; only an
     unsettled pattern against an unsettled query is confirmed with intersect.
+
+    :meth:`holders` keeps the sorted holders it finds, per slot and bucket,
+    while the keys decide every pair the lookup reaches: such a list is the
+    same for every query with those keys.  Every query whose slot is filed
+    but whose bucket is not shares one list for its slot, and every query
+    whose slot is not filed shares the top-level wildcard's, so there are
+    never more kept lists than filed buckets plus filed slots.  Filing or
+    unfiling a pattern drops its slot's lists (all of them for the top-level
+    wildcard, which every lookup reaches), and :meth:`clear` drops them all.
     """
 
     def __init__(self):
         self._slots: dict = {}  # slot -> bucket -> ({settled pairs}, {other pairs})
+        self._kept: dict = {}  # slot -> bucket or _UNFILED -> sorted holders
 
     def add(self, p, holder=None) -> None:
         slot, bucket, settled = _slot_keys(p)
+        if self._kept:  # the support index, which answers no holders query, keeps none
+            self._forget(slot)
         buckets = self._slots.setdefault(slot, {})
         pairs = buckets.get(bucket)
         if pairs is None:
@@ -208,6 +227,8 @@ class Index:
 
     def remove(self, p, holder=None) -> None:
         slot, bucket, settled = _slot_keys(p)
+        if self._kept:
+            self._forget(slot)
         buckets = self._slots[slot]
         pairs = buckets[bucket]
         pairs[not settled].remove((holder, p))
@@ -216,8 +237,15 @@ class Index:
             if not buckets:
                 del self._slots[slot]
 
+    def _forget(self, slot) -> None:
+        if slot is WILDCARD:  # the top-level wildcard reaches every query
+            self._kept.clear()
+        else:
+            self._kept.pop(slot, None)
+
     def clear(self) -> None:
         self._slots.clear()
+        self._kept.clear()
 
     def matching(self, q) -> list:
         """The (holder, pattern) pairs whose pattern intersects q, each pair once."""
@@ -253,6 +281,36 @@ class Index:
                     found.extend(other)
                 else:
                     found.extend(pair for pair in other if intersect(pair[1], q) is not None)
+        return found
+
+    def holders(self, q) -> tuple:
+        """The distinct holders of the patterns that intersect q, sorted.
+
+        The answer is kept for the next query with q's slot and bucket
+        unless the lookup reached an unsettled pattern (see the class
+        docstring); a query reaching every bucket of its slot is never kept.
+        """
+        slots = self._slots
+        slot, bucket, _ = _slot_keys(q)
+        if slot is WILDCARD or bucket is WILDCARD:  # q reaches every bucket of a slot
+            return tuple(sorted({h for h, _ in self.matching(q)}))
+        buckets = slots.get(slot)
+        if buckets is None:
+            if WILDCARD not in slots:
+                return ()
+            slot, key = WILDCARD, None  # only the top-level wildcard reaches q
+        else:
+            key = bucket if bucket in buckets else _UNFILED
+        kept = self._kept.get(slot)
+        found = None if kept is None else kept.get(key)
+        if found is None:
+            found = tuple(sorted({h for h, _ in self.matching(q)}))
+            # the keys decide every pair q reaches unless its bucket or its
+            # slot's wildcard bucket holds one to confirm (the top-level _ is settled)
+            if buckets is None or not any(
+                pairs[1] for pairs in (buckets.get(bucket), buckets.get(WILDCARD)) if pairs
+            ):
+                self._kept.setdefault(slot, {})[key] = found
         return found
 
 

@@ -410,12 +410,13 @@ class ReactiveState:
         # A rising edge needs no memory of the last check: it is only ever a
         # stop clause, and a stop clause that fires ends the state, so while
         # the state lives its predicate was false at every earlier check.
+        # At install there is no event (None), so only a rising edge can fire.
         for w in self._spec.whens:
             if w.kind == "rising-edge":
                 if w.predicate(*self._collected):
                     self._fire(w, ())
                     return
-            else:
+            elif event is not None:
                 hits = _triggers(w, event)
                 if hits:
                     self._fire(w, captures(w.binders, hits[0]) if w.binders else ())

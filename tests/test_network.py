@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -33,6 +34,7 @@ from dataspace import (
     forever,
     interests_of,
     is_ground,
+    matches,
     new_network,
     observe,
     reactive_actor,
@@ -42,6 +44,7 @@ from dataspace import (
 )
 from dataspace import tracing
 from dataspace.network import _TICK, Network, _step_nested
+from dataspace.patches import observed
 from dataspace.scenarios import build_bank_account_plain
 from dataspace.values import to_jsonable
 
@@ -912,11 +915,14 @@ def player(event, state):
     return None
 
 
-def run_random_program(seed, oracle=True):
-    """2-7 players, some in one nested network, driven by random actions."""
+def run_random_program(seed, check=Network.check_visibility):
+    """2-7 players, some in one nested network, driven by random actions.
+
+    check, unless None, runs on the ground network after every dispatch.
+    """
     rng = random.Random(seed)
     net = new_network()
-    after_step = net.check_visibility if oracle else None
+    after_step = None if check is None else (lambda: check(net))
     inner = net.spawn_nested()
     for _ in range(rng.randint(2, 7)):
         host = rng.choice((net, inner))
@@ -943,9 +949,69 @@ def test_visibility_oracle_under_randomized_dispatch():
         assert not [e for e in net.trace.entries if e["kind"] == "crash"], seed
 
 
+def check_message_routing(net):
+    """Each ground value's receivers, from the interests index and from a recount.
+
+    Nested networks are checked in turn.
+    """
+    for v in GROUND:
+        expect = sorted(
+            bid
+            for bid, e in net.actors.items()
+            if any(matches(p, v) for p in observed(e.asserted))
+        )
+        assert net.interests.holders(v) == tuple(expect), (net.path, v)
+    for e in net.actors.values():
+        if e.behaviour is _step_nested:
+            check_message_routing(e.state)
+
+
+def test_messages_reach_exactly_their_interested_actors_under_randomized_dispatch():
+    # the lookups themselves keep receiver lists, which must follow every
+    # later change of interests in the tree
+    for seed in range(300):
+        run_random_program(seed, check=check_message_routing)
+
+
+def kept_lists(index):
+    return sum(map(len, index._kept.values()))
+
+
+def test_kept_receiver_lists_are_bounded_by_the_filed_buckets_and_die_with_the_index():
+    got = Counter()
+
+    def listener(event, state):
+        if isinstance(event, MessageEvent):
+            got[event.body] += 1
+        return None
+
+    def listen(host, patterns, messages):
+        for p in patterns:
+            host.spawn(listener, None, [PatchAction(Patch({observe(p)}, ()))])
+        sender = host.spawn(idle, None)
+        for i in range(messages):
+            host.interpret_action(sender, MessageAction(rec("tick", i)))
+
+    # every (tick i) but (tick 5) finds its bucket unfiled, so those 9,999
+    # share their slot's one list
+    net = new_network()
+    inner = net.spawn_nested()
+    listen(net, [rec("tick", WILDCARD)] * 3 + [rec("tick", 5)], 10_000)
+    listen(inner, [rec("tick", WILDCARD)], 100)
+    net.run_until_quiescent(50_000)
+    assert sum(got.values()) == 3 * 10_000 + 1 + 100
+    for index in (net.interests, inner.interests):
+        filed = sum(map(len, index._slots.values())) + len(index._slots)
+        assert 0 < kept_lists(index) <= filed
+    net.interests.clear()
+    assert kept_lists(net.interests) == 0
+    net.terminate_actor(inner.path)
+    assert kept_lists(inner.interests) == 0
+
+
 def test_trace_lines_of_random_programs_are_the_json_dumps_of_each_entry():
     for seed in range(300):
-        net = run_random_program(seed, oracle=False)
+        net = run_random_program(seed, check=None)
         assert net.trace.lines() == oracle_lines(net.trace), seed
 
 

@@ -268,9 +268,28 @@ index_ops = st.lists(st.tuples(st.booleans(), st.integers(0, 2), filed_patterns)
     [(False, h, p) for h, p in enumerate(FILED[:3])] + [(True, 1, FILED[1])],
     [rec("r", True, 2), rec("r", 1, WILDCARD), WILDCARD],
 )
+# a top-level wildcard filed after lookups were kept, of a filed slot and of an unfiled one
+@example(
+    [(False, 0, rec("r", 1, WILDCARD)), (False, 1, WILDCARD), (True, 1, WILDCARD)],
+    [rec("r", 1, 2), rec("q")],
+)
+# the unsettled (r (a 1) _) and (r _ 2) in the buckets of the queries
+@example(
+    [
+        (False, 0, rec("r", rec("a", 1), WILDCARD)),
+        (False, 1, rec("r", WILDCARD, 2)),
+        (True, 1, rec("r", WILDCARD, 2)),
+        (True, 0, rec("r", rec("a", 1), WILDCARD)),
+    ],
+    [rec("r", rec("a", 1), 2), rec("r", rec("a", 2), 3), rec("r", 1, 2), rec("r", 1, 3)],
+)
+@example([(False, 0, 1), (False, 1, True), (True, 0, 1)], [1, True])  # 1 against #t
 def test_index_matching_is_exactly_the_filed_pairs_that_intersect(ops, extra):
     def typed(pairs):  # Python's equality would merge the pairs of 1 and #t
         return [(h, type(p), p) for h, p in pairs]
+
+    def holders(q):
+        return tuple(sorted({h for h, p in filed.values() if intersect(p, q) is not None}))
 
     index, filed = Index(), {}
     for remove, holder, p in ops:
@@ -281,6 +300,9 @@ def test_index_matching_is_exactly_the_filed_pairs_that_intersect(ops, extra):
         else:
             index.add(p, holder)
             filed[key] = (holder, p)
+        # lookups between the changes, so that kept holder lists outlive some
+        for q in FILED + tuple(extra):
+            assert index.holders(q) == holders(q), q
     for q in FILED + tuple(extra):
         found = typed(index.matching(q))
         assert len(found) == len(set(found)), q  # each pair once

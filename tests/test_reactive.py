@@ -2,7 +2,7 @@ import gc
 
 import pytest
 
-from dataspace import values
+from dataspace import reactive, values
 from dataspace import (
     Assert,
     Asserted,
@@ -14,6 +14,7 @@ from dataspace import (
     On,
     Patch,
     PatchAction,
+    QUIT,
     ReactiveState,
     Retracted,
     RisingEdge,
@@ -261,6 +262,33 @@ def test_rising_edge_true_at_install_fires_immediately():
         net.run_until_quiescent(30)
         assert seen == [expected]
         assert not net.actors  # everything wound down cleanly
+
+
+def test_install_asks_only_the_rising_edges(monkeypatch):
+    # no event is there at install, so a message, asserted or retracted stop
+    # clause cannot fire: install tries none of them, only the rising edges
+    tried = []
+    triggers = reactive._triggers
+    monkeypatch.setattr(reactive, "_triggers", lambda c, e: tried.append(c.kind) or triggers(c, e))
+    ping = Sym("ping")
+    for at_install, fired in [(0, False), (10, True)]:
+        tried.clear()
+        spec = state(
+            collect=[("n", at_install)],
+            stop=[
+                When(Message(ping)),
+                When(Asserted(rec("x", Bind("v")))),
+                When(Retracted(rec("x", WILDCARD))),
+                When(RisingEdge(lambda n: n >= 5)),
+            ],
+        )
+        host = ReactiveState(None, _initial=(spec, None))
+        installed = host.collect_actions(lambda: host.install_group(spec))
+        assert tried == []
+        assert (installed[-1] is QUIT) == fired
+        if not fired:  # an event asks each clause that can match one, in order
+            host.collect_actions(lambda: host._deliver(MessageEvent(rec("y"))))
+            assert tried == ["message", "asserted", "retracted"]
 
 
 def test_rising_edge_false_predicate_never_fires():
