@@ -8,8 +8,9 @@ reaches only the actors whose interests intersect what changed; each actor
 keeps a bag counting, per visible assertion, how many of its interests
 intersect it, and the crossings of those counts are its state change
 notifications.  A message goes to the holders the interests index returns,
-sorted; the index keeps each key's list until an interest in that slot is
-filed or unfiled, since interests change far less often than messages flow.
+sorted; the index keeps each key's list until any interest is filed or
+unfiled, since interests change far less often than messages flow, and it
+never keeps more lists than it has filed buckets plus filed slots.
 ``check_visibility`` recounts all of this from scratch as a test oracle.
 Scheduling is a single FIFO of (actor, event) pairs, so
 identical programs produce identical traces: a fan-out joins it in one

@@ -7,9 +7,9 @@ that a lookup returns exactly those that intersect a query, confirming with
 ``intersect`` only the pairs its keys do not decide, and ``route`` turns one
 clamped patch into per-actor claims and releases through two of them.  An
 index also answers which holders a query reaches, sorted, and keeps that
-answer per slot and bucket, when the keys decide it, until a pattern is filed
-in or unfiled from that slot (or the top-level wildcard's); it never keeps
-more answers than it has filed buckets plus filed slots.
+answer per slot and bucket, when the keys decide it, until any pattern is
+filed or unfiled; it never keeps more answers than it has filed buckets plus
+filed slots.
 ``visible`` recounts an actor's visible set from scratch; the network's
 oracle compares it with what the indexes delivered.
 """
@@ -190,7 +190,7 @@ def _record_keys(p):
     return (p.label, len(fields)), _atom_key(f), rest.count(WILDCARD) == len(rest)
 
 
-_UNFILED = object()  # the kept-list key of a query whose bucket is not filed
+_UNFILED = object()  # stands in a kept-list key for a bucket or slot that is not filed
 
 
 class Index:
@@ -205,20 +205,20 @@ class Index:
     while the keys decide every pair the lookup reaches: such a list is the
     same for every query with those keys.  Every query whose slot is filed
     but whose bucket is not shares one list for its slot, and every query
-    whose slot is not filed shares the top-level wildcard's, so there are
-    never more kept lists than filed buckets plus filed slots.  Filing or
-    unfiling a pattern drops its slot's lists (all of them for the top-level
-    wildcard, which every lookup reaches), and :meth:`clear` drops them all.
+    whose slot is not filed shares one list for the top-level wildcard, so
+    there are never more kept lists than filed buckets plus filed slots.
+    Filing or unfiling any pattern drops every kept list, as :meth:`clear`
+    does: interests change far less often than messages flow.
     """
 
     def __init__(self):
         self._slots: dict = {}  # slot -> bucket -> ({settled pairs}, {other pairs})
-        self._kept: dict = {}  # slot -> bucket or _UNFILED -> sorted holders
+        self._kept: dict = {}  # (slot, bucket or _UNFILED), or _UNFILED -> sorted holders
 
     def add(self, p, holder=None) -> None:
         slot, bucket, settled = _slot_keys(p)
         if self._kept:  # the support index, which answers no holders query, keeps none
-            self._forget(slot)
+            self._kept.clear()
         buckets = self._slots.setdefault(slot, {})
         pairs = buckets.get(bucket)
         if pairs is None:
@@ -228,7 +228,7 @@ class Index:
     def remove(self, p, holder=None) -> None:
         slot, bucket, settled = _slot_keys(p)
         if self._kept:
-            self._forget(slot)
+            self._kept.clear()
         buckets = self._slots[slot]
         pairs = buckets[bucket]
         pairs[not settled].remove((holder, p))
@@ -236,12 +236,6 @@ class Index:
             del buckets[bucket]
             if not buckets:
                 del self._slots[slot]
-
-    def _forget(self, slot) -> None:
-        if slot is WILDCARD:  # the top-level wildcard reaches every query
-            self._kept.clear()
-        else:
-            self._kept.pop(slot, None)
 
     def clear(self) -> None:
         self._slots.clear()
@@ -289,6 +283,8 @@ class Index:
         The answer is kept for the next query with q's slot and bucket
         unless the lookup reached an unsettled pattern (see the class
         docstring); a query reaching every bucket of its slot is never kept.
+        Kept answers last until the next :meth:`add`, :meth:`remove` or
+        :meth:`clear`, never more of them than filed buckets plus filed slots.
         """
         slots = self._slots
         slot, bucket, _ = _slot_keys(q)
@@ -298,11 +294,10 @@ class Index:
         if buckets is None:
             if WILDCARD not in slots:
                 return ()
-            slot, key = WILDCARD, None  # only the top-level wildcard reaches q
+            key = _UNFILED  # only the top-level wildcard reaches q
         else:
-            key = bucket if bucket in buckets else _UNFILED
-        kept = self._kept.get(slot)
-        found = None if kept is None else kept.get(key)
+            key = (slot, bucket if bucket in buckets else _UNFILED)
+        found = self._kept.get(key)
         if found is None:
             found = tuple(sorted({h for h, _ in self.matching(q)}))
             # the keys decide every pair q reaches unless its bucket or its
@@ -310,7 +305,7 @@ class Index:
             if buckets is None or not any(
                 pairs[1] for pairs in (buckets.get(bucket), buckets.get(WILDCARD)) if pairs
             ):
-                self._kept.setdefault(slot, {})[key] = found
+                self._kept[key] = found
         return found
 
 

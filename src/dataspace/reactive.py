@@ -50,6 +50,7 @@ from .values import (
     observe,
     rec,
     sort_patterns,
+    to_jsonable,
 )
 
 __all__ = [
@@ -193,6 +194,9 @@ def _compile_clause(spec, body, n: int, what: str) -> _Clause:
         type(spec)
     ]
     subscription, extraction, names = compile_surface(spec.pattern)
+    # encoded now, a subscription with no canonical text ("'x", "_", a ?!
+    # label) fails where the script builds the state, not later in its host
+    to_jsonable(subscription)
     if _contains_reserved(subscription):
         raise ValueError(f"pattern uses the reserved label {RESERVED_LABEL!r}")
     if body is not None:

@@ -282,6 +282,12 @@ def test_a_nested_fan_out_queues_its_receivers_in_order_and_one_tick():
     inner.interpret_action(sender, MessageAction(rec("m", 1)))
     assert list(net.queue) == [(inner.path, _TICK)]
     assert list(inner.queue) == [(aid, MessageEvent(rec("m", 1))) for aid in receivers]
+    # a second fan-out before any dispatch joins the child queue, not the tick
+    inner.interpret_action(sender, MessageAction(rec("m", 2)))
+    assert list(net.queue) == [(inner.path, _TICK)]
+    assert list(inner.queue) == [
+        (aid, MessageEvent(rec("m", i))) for i in (1, 2) for aid in receivers
+    ]
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -974,7 +980,7 @@ def test_messages_reach_exactly_their_interested_actors_under_randomized_dispatc
 
 
 def kept_lists(index):
-    return sum(map(len, index._kept.values()))
+    return len(index._kept)
 
 
 def test_kept_receiver_lists_are_bounded_by_the_filed_buckets_and_die_with_the_index():
@@ -1003,6 +1009,9 @@ def test_kept_receiver_lists_are_bounded_by_the_filed_buckets_and_die_with_the_i
     for index in (net.interests, inner.interests):
         filed = sum(map(len, index._slots.values())) + len(index._slots)
         assert 0 < kept_lists(index) <= filed
+    # filing an interest anywhere, even in a slot no message uses, drops them all
+    listen(net, [rec("other", WILDCARD)], 0)
+    assert kept_lists(net.interests) == 0
     net.interests.clear()
     assert kept_lists(net.interests) == 0
     net.terminate_actor(inner.path)

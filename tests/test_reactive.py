@@ -243,16 +243,19 @@ def test_mux_subscription_overlaps_assert_facet():
 
 
 def test_rising_edge_true_at_install_fires_immediately():
-    edge = When(RisingEdge(lambda n: n >= 5), lambda ctx, n: n)
-    # two edges true at install, after a message clause: the first one fires
+    ran = []  # every stop body that runs
+    edge = When(RisingEdge(lambda n: n >= 5), lambda ctx, n: ran.append(n) or n)
+    # two edges true at install, after a message clause: the first one fires,
+    # and the state ends there, so no later clause's body runs
     two_edges = [
-        When(Message(Sym("never")), lambda ctx, n: "message"),
-        When(RisingEdge(lambda n: n >= 5), lambda ctx, n: "first"),
-        When(RisingEdge(lambda n: n >= 1), lambda ctx, n: "second"),
+        When(Message(Sym("never")), lambda ctx, n: ran.append("message") or "message"),
+        When(RisingEdge(lambda n: n >= 5), lambda ctx, n: ran.append("first") or "first"),
+        When(RisingEdge(lambda n: n >= 1), lambda ctx, n: ran.append("second") or "second"),
     ]
     for stop, expected in [([edge], 10), (two_edges, "first")]:
         net = new_network()
         seen = []
+        ran.clear()
 
         def script(ctx):
             got = yield state(collect=[("n", 10)], stop=stop)
@@ -261,6 +264,7 @@ def test_rising_edge_true_at_install_fires_immediately():
         reactive_actor(net, script)
         net.run_until_quiescent(30)
         assert seen == [expected]
+        assert ran == [expected]
         assert not net.actors  # everything wound down cleanly
 
 
@@ -464,6 +468,26 @@ def test_capture_in_surface_pattern_crashes_the_script():
     assert not net.actors
 
 
+@pytest.mark.parametrize(
+    "pattern",
+    [rec("a", "'x"), rec("a", "_"), rec("?!", 1)],
+    ids=["quoted-string", "wildcard-string", "capture-label"],
+)
+def test_a_pattern_with_no_canonical_text_crashes_the_script(pattern):
+    # each passes is_pattern, but the host could not encode its observe
+    with pytest.raises(ValueError):
+        until(Message(pattern))
+    net = new_network()
+
+    def script(ctx):
+        yield until(Message(pattern))
+
+    reactive_actor(net, script)
+    net.run_until_quiescent(20)
+    assert [actor for actor, _ in crashes(net)] == ["g/0"]
+    assert not net.actors
+
+
 def test_wildcard_under_binder_crashes_actor():
     net = new_network()
 
@@ -514,20 +538,14 @@ def test_a_keyword_only_parameter_with_a_default_is_accepted():
 
 
 def test_wrong_fold_width_crashes_at_runtime():
-    net = new_network()
+    # one value, or a sequence of three, for a two-value collect
+    for body, got in [(lambda ctx, a, b: a, "0"), (lambda ctx, a, b: (a, b, 1), "(0, 0, 1)")]:
 
-    def script(ctx):
-        yield forever(
-            collect=[("a", 0), ("b", 0)],
-            facets=[On(Message(Sym("x")), lambda ctx, a, b: a)],  # one value, not two
-        )
+        def script(ctx):
+            yield forever(collect=[("a", 0), ("b", 0)], facets=[On(Message(Sym("x")), body)])
 
-    reactive_actor(net, script)
-    kicker = net.spawn(lambda e, s: None, None)
-    net.run_until_quiescent(20)
-    net.interpret_action(kicker, MessageAction(Sym("x")))
-    net.run_until_quiescent(30)
-    assert any(e["kind"] == "crash" for e in net.trace.entries)
+        net = run_then_send(script, Sym("x"))
+        assert crashes(net) == [("g/1", f"ValueError: facet body must return 2 values, got {got}")]
 
 
 def crashes(net):
