@@ -1009,6 +1009,21 @@ def test_kept_receiver_lists_are_bounded_by_the_filed_buckets_and_die_with_the_i
     for index in (net.interests, inner.interests):
         filed = sum(map(len, index._slots.values())) + len(index._slots)
         assert 0 < kept_lists(index) <= filed
+    # with no top-level wildcard filed, a message whose slot no interest files
+    # reaches no one, and its empty answer is kept nowhere
+    before = kept_lists(net.interests)
+    sender = net.spawn(idle, None)
+    net.interpret_action(sender, MessageAction(rec("nobody", 1)))
+    assert kept_lists(net.interests) == before
+    # under one top-level wildcard, every message whose slot no interest files
+    # shares the wildcard's one list, however many distinct slots they name
+    wild = new_network()
+    listen(wild, [WILDCARD], 0)
+    sender = wild.spawn(idle, None)
+    for i in range(1_000):
+        wild.interpret_action(sender, MessageAction(rec(f"label-{i}")))
+    filed = sum(map(len, wild.interests._slots.values())) + len(wild.interests._slots)
+    assert 0 < kept_lists(wild.interests) <= filed
     # filing an interest anywhere, even in a slot no message uses, drops them all
     listen(net, [rec("other", WILDCARD)], 0)
     assert kept_lists(net.interests) == 0
