@@ -8,9 +8,11 @@ reaches only the actors whose interests intersect what changed; each actor
 keeps a bag counting, per visible assertion, how many of its interests
 intersect it, and the crossings of those counts are its state change
 notifications.  A message goes to the holders the interests index returns,
-sorted; the index keeps each key's list until any interest is filed or
-unfiled, since interests change far less often than messages flow, and it
-never keeps more lists than it has filed buckets plus filed slots.
+sorted; the index keeps each list under the lookup's own keys until any
+interest is filed or unfiled, since interests change far less often than
+messages flow, and it never keeps more lists than it has filed buckets plus
+filed slots: messages whose bucket is not filed share their slot's list,
+and those whose slot is not filed share the top-level wildcard's.
 ``check_visibility`` recounts all of this from scratch as a test oracle.
 Scheduling is a single FIFO of (actor, event) pairs, so
 identical programs produce identical traces: a fan-out joins it in one

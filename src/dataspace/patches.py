@@ -7,9 +7,10 @@ that a lookup returns exactly those that intersect a query, confirming with
 ``intersect`` only the pairs its keys do not decide, and ``route`` turns one
 clamped patch into per-actor claims and releases through two of them.  An
 index also answers which holders a query reaches, sorted, and keeps that
-answer per slot and bucket, when the keys decide it, until any pattern is
-filed or unfiled; it never keeps more answers than it has filed buckets plus
-filed slots.
+answer under the lookup's own keys (its filed slot and bucket, its filed
+slot alone, or the top-level wildcard) when the keys decide it, until any
+pattern is filed or unfiled; it never keeps more answers than it has filed
+buckets plus filed slots.
 ``visible`` recounts an actor's visible set from scratch; the network's
 oracle compares it with what the indexes delivered.
 """
@@ -190,9 +191,6 @@ def _record_keys(p):
     return (p.label, len(fields)), _atom_key(f), rest.count(WILDCARD) == len(rest)
 
 
-_UNFILED = object()  # stands in a kept-list key for a bucket or slot that is not filed
-
-
 class Index:
     """Patterns filed by shape and first field, each under the holder filing it.
 
@@ -200,20 +198,22 @@ class Index:
     rest: a settled pattern intersects every query that reaches its bucket,
     and so does any pattern when the query is settled itself; only an
     unsettled pattern against an unsettled query is confirmed with intersect.
+    One walk, :meth:`_reach`, finds the buckets a query reaches.
 
-    :meth:`holders` keeps the sorted holders it finds, per slot and bucket,
-    while the keys decide every pair the lookup reaches: such a list is the
-    same for every query with those keys.  Every query whose slot is filed
-    but whose bucket is not shares one list for its slot, and every query
-    whose slot is not filed shares one list for the top-level wildcard, so
-    there are never more kept lists than filed buckets plus filed slots.
-    Filing or unfiling any pattern drops every kept list, as :meth:`clear`
-    does: interests change far less often than messages flow.
+    :meth:`holders` keeps the sorted holders it finds while no bucket the
+    lookup reaches holds an unsettled pattern: such a list is the same for
+    every query with the lookup's keys.  It is kept under (slot, bucket) for a
+    filed bucket, under the slot for an unfiled bucket of a filed slot, and
+    under the top-level wildcard when only that reaches the query; a query
+    that nothing reaches keeps nothing.  So there are never more kept lists
+    than filed buckets plus filed slots.  Filing or unfiling any pattern drops
+    every kept list, as :meth:`clear` does: interests change far less often
+    than messages flow.
     """
 
     def __init__(self):
         self._slots: dict = {}  # slot -> bucket -> ({settled pairs}, {other pairs})
-        self._kept: dict = {}  # (slot, bucket or _UNFILED), or _UNFILED -> sorted holders
+        self._kept: dict = {}  # (slot, bucket), slot, or _ -> sorted holders
 
     def add(self, p, holder=None) -> None:
         slot, bucket, settled = _slot_keys(p)
@@ -241,33 +241,33 @@ class Index:
         self._slots.clear()
         self._kept.clear()
 
-    def matching(self, q) -> list:
-        """The (holder, pattern) pairs whose pattern intersects q, each pair once."""
+    def _reach(self, q) -> tuple[list, bool]:
+        # the (settled, other) pair-sets of the buckets q reaches, and whether q is settled
         slots = self._slots
         if q is WILDCARD:
-            exact = True
-            groups = [pairs for buckets in slots.values() for pairs in buckets.values()]
-        else:
-            slot, bucket, exact = _slot_keys(q)
-            buckets = slots.get(slot)
-            wild = slots.get(WILDCARD)  # the top-level wildcard's one bucket
-            if buckets is None:
-                if wild is None:
-                    return []
-                groups = []
-            elif bucket is WILDCARD:
-                groups = list(buckets.values())
-            else:
-                pairs = buckets.get(bucket)
-                groups = [] if pairs is None else [pairs]
-                if bucket is not None:  # an atom or a zero-field record has no wildcard bucket
-                    pairs = buckets.get(WILDCARD)
-                    if pairs is not None:
-                        groups.append(pairs)
-            if wild is not None:
-                groups.extend(wild.values())
+            return [pairs for buckets in slots.values() for pairs in buckets.values()], True
+        slot, bucket, settled = _slot_keys(q)
+        buckets = slots.get(slot)
+        if buckets is None:
+            reached = []
+        elif bucket is WILDCARD:
+            reached = list(buckets.values())
+        else:  # its own bucket and its slot's wildcard bucket, where filed
+            pairs = buckets.get(bucket)
+            reached = [] if pairs is None else [pairs]
+            pairs = buckets.get(WILDCARD)
+            if pairs is not None:
+                reached.append(pairs)
+        wild = slots.get(WILDCARD)  # the top-level wildcard's one bucket
+        if wild is not None:
+            reached.append(wild[None])
+        return reached, settled
+
+    def matching(self, q) -> list:
+        """The (holder, pattern) pairs whose pattern intersects q, each pair once."""
+        reached, exact = self._reach(q)
         found = []
-        for settled, other in groups:
+        for settled, other in reached:
             if settled:
                 found.extend(settled)
             if other:
@@ -280,31 +280,27 @@ class Index:
     def holders(self, q) -> tuple:
         """The distinct holders of the patterns that intersect q, sorted.
 
-        The answer is kept for the next query with q's slot and bucket
-        unless the lookup reached an unsettled pattern (see the class
-        docstring); a query reaching every bucket of its slot is never kept.
-        Kept answers last until the next :meth:`add`, :meth:`remove` or
-        :meth:`clear`, never more of them than filed buckets plus filed slots.
+        The answer is kept under q's keys (see the class docstring) unless a
+        bucket the lookup reached holds an unsettled pattern or q reaches
+        every bucket of its slot.  Kept answers last until the next
+        :meth:`add`, :meth:`remove` or :meth:`clear`, never more of them than
+        filed buckets plus filed slots.
         """
-        slots = self._slots
         slot, bucket, _ = _slot_keys(q)
         if slot is WILDCARD or bucket is WILDCARD:  # q reaches every bucket of a slot
             return tuple(sorted({h for h, _ in self.matching(q)}))
+        slots = self._slots
         buckets = slots.get(slot)
-        if buckets is None:
-            if WILDCARD not in slots:
-                return ()
-            key = _UNFILED  # only the top-level wildcard reaches q
+        if buckets is not None:
+            key = (slot, bucket) if bucket in buckets else slot
+        elif WILDCARD in slots:
+            key = WILDCARD  # only the top-level wildcard reaches q
         else:
-            key = (slot, bucket if bucket in buckets else _UNFILED)
+            return ()
         found = self._kept.get(key)
         if found is None:
             found = tuple(sorted({h for h, _ in self.matching(q)}))
-            # the keys decide every pair q reaches unless its bucket or its
-            # slot's wildcard bucket holds one to confirm (the top-level _ is settled)
-            if buckets is None or not any(
-                pairs[1] for pairs in (buckets.get(bucket), buckets.get(WILDCARD)) if pairs
-            ):
+            if not any(other for _, other in self._reach(q)[0]):  # the keys decide every pair
                 self._kept[key] = found
         return found
 

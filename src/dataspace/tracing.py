@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from .patches import Bag, Patch
 from .values import (
+    MalformedText,
     from_jsonable,
     intersect,
     json_text,
@@ -100,18 +101,32 @@ def aggregate_snapshots(trace, lens) -> list[frozenset]:
     restricted to lens-matching assertions, collapsing consecutive
     duplicates; a nested network's dataspace is private, so its actors'
     entries are skipped.  Actor identities are otherwise erased.  Raises
-    MalformedText, as canonical_decode does, on a line that is not JSON or
-    nests too deeply to read, and KeyError when the trace retracts something
-    it never asserted.
+    MalformedText, as canonical_decode does, on a line that is not JSON,
+    nests too deeply to read, or is no trace entry: an object with a string
+    kind and actor, whose data, for a ground actor's patch-out, is an object
+    with added and removed lists.  Raises KeyError when the trace retracts
+    something it never asserted.
     """
     bag = Bag()
     snaps = [frozenset()]
     for line in trace:
         with reading_text():
             entry = json.loads(line)
+            if not (
+                type(entry) is dict
+                and type(entry.get("kind")) is str
+                and type(entry.get("actor")) is str
+            ):
+                raise MalformedText(f"not a trace entry: {line!r:.80}")
             if entry["kind"] != "patch-out" or entry["actor"].count("/") != 1:
                 continue
-            data = entry["data"]
+            data = entry.get("data")
+            if not (
+                type(data) is dict
+                and type(data.get("added")) is list
+                and type(data.get("removed")) is list
+            ):
+                raise MalformedText(f"patch-out data is not added and removed lists: {line!r:.80}")
             added = [from_jsonable(a) for a in data["added"]]
             removed = [from_jsonable(a) for a in data["removed"]]
         bag.crossings(added, removed)

@@ -240,6 +240,29 @@ def test_replaying_a_retraction_of_the_never_asserted_raises():
         aggregate_snapshots(trace, account(WILDCARD))
 
 
+@pytest.mark.parametrize(
+    "line, error",
+    [
+        ("[1,2]", MalformedText),
+        ('"x"', MalformedText),
+        ('{"seq":0}', MalformedText),
+        ('{"seq":0,"actor":3,"kind":"patch-out","data":{"added":[],"removed":[]}}', MalformedText),
+        ('{"seq":0,"actor":"g/0","kind":"patch-out","data":{"added":[]}}', MalformedText),
+        ('{"seq":0,"actor":"g/0","kind":"patch-out","data":{"added":5,"removed":[]}}', MalformedText),
+        # a well-formed line retracting what the trace never asserted
+        (
+            '{"seq":0,"actor":"g/0","kind":"patch-out",'
+            '"data":{"added":[],"removed":[["account",5]]}}',
+            KeyError,
+        ),
+    ],
+)
+def test_replaying_a_line_that_is_no_trace_entry_raises_malformed_text(line, error):
+    # a KeyError is the retraction fault alone
+    with pytest.raises(error):
+        aggregate_snapshots([line], account(WILDCARD))
+
+
 # every shape the index files, in one slot where it can: the settled (r 1 _)
 # and (r _ _) beside the unsettled (r _ 2) and (r (a 1) _); 1 beside #t and
 # "s" beside 's, bare and as a first field; zero-field records, bare atoms and
