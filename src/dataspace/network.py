@@ -7,12 +7,16 @@ interest and every supported assertion in an index, so a patch or message
 reaches only the actors whose interests intersect what changed; each actor
 keeps a bag counting, per visible assertion, how many of its interests
 intersect it, and the crossings of those counts are its state change
-notifications.  A message goes to the holders the interests index returns,
-sorted; the index keeps each list under the lookup's own keys until any
-interest is filed or unfiled, since interests change far less often than
-messages flow, and it never keeps more lists than it has filed buckets plus
-filed slots: messages whose bucket is not filed share their slot's list,
-and those whose slot is not filed share the top-level wildcard's.
+notifications.  A receiver's crossings are the changed assertions that
+reach it, since gained support is new to all and lost support leaves all;
+only the patcher's own interest delta can claim what it already sees, so
+only its bag is walked with ``Bag.crossings``.  A message goes to the
+holders the interests index returns, sorted; the index keeps each list
+under the lookup's own keys until any interest is filed or unfiled, since
+interests change far less often than messages flow, and it never keeps more
+lists than it has filed buckets plus filed slots: messages whose bucket is
+not filed share their slot's list, and those whose slot is not filed share
+the top-level wildcard's.
 ``check_visibility`` recounts all of this from scratch as a test oracle.
 Scheduling is a single FIFO of (actor, event) pairs, so
 identical programs produce identical traces: a fan-out joins it in one
@@ -294,13 +298,21 @@ class Network:
     def _apply_actor_patch(self, aid, patch: Patch) -> None:
         """Apply an actor's patch and fan the change out to its receivers.
 
-        The aggregate bag and each receiver's seen bag take their claims and
-        releases in one walk (:meth:`Bag.crossings`); the aggregate's goes to
-        :func:`route` as two sets.  Receivers whose seen-bag change is equal
-        share one PatchEvent, so one Patch is built per distinct change and,
-        through the patch's cached trace form, one patch-in ``data`` object.
-        A change equal to the clamped patch itself gets that patch, so its
-        patch-ins share the patch-out's form and no second Patch is built.
+        The aggregate bag takes the claims and releases in one walk
+        (:meth:`Bag.crossings`), and :func:`route` says which interests each
+        assertion of its change reaches.  Gained support is new to every
+        receiver and lost support leaves every receiver, so each pair counts
+        into or out of its receiver's seen bag with plain dict operations
+        (releasing what a receiver does not hold raises KeyError, as
+        ``crossings`` would), and its change is the assertions that reached
+        it.  Only the patcher's own bag, whose interest delta may claim or
+        release what it already sees, goes through ``crossings``.  Receivers
+        reached by the same assertions build their change once, and receivers
+        whose change is equal share one PatchEvent, so one Patch is built per
+        distinct change and, through the patch's cached trace form, one
+        patch-in ``data`` object.  A change equal to the clamped patch itself
+        gets that patch, so its patch-ins share the patch-out's form and no
+        second Patch is built.
         """
         entry = self.actors[aid]
         clamped = clamp_patch(patch, entry.asserted)
@@ -320,22 +332,52 @@ class Network:
         entry.asserted = apply_patch(entry.asserted, clamped)
         gained, lost = self.aggregate.crossings(clamped.added, clamped.removed)
         self.trace.emit(entry.label, "patch-out", encoded)
-        # a receiver's (gained, lost) -> the one event for it; frozenset keys,
-        # as equal sets compare equal whatever order they were built in
+        reach_lost, reach_gained, claims, releases = route(
+            self.support, self.interests, aid, clamped, gained, lost
+        )
+        actors = self.actors
+        # a receiver -> the delta assertions that reached it, one per pair;
+        # the patcher -> its (gained, lost)
+        reached: dict = {}
+        for a, found in reach_lost:
+            for bid, _ in found:
+                if bid == aid:
+                    releases.append(a)
+                    continue
+                seen = actors[bid].seen
+                n = seen.pop(a)  # KeyError when the receiver does not hold it
+                if n > 1:
+                    seen[a] = n - 1
+                reached.setdefault(bid, []).append(a)
+        for a, found in reach_gained:
+            for bid, _ in found:
+                if bid == aid:
+                    claims.append(a)
+                    continue
+                seen = actors[bid].seen
+                seen[a] = seen.get(a, 0) + 1
+                reached.setdefault(bid, []).append(a)
+        if claims or releases:
+            mine = entry.seen.crossings(claims, releases)
+            if mine[0] or mine[1]:
+                reached[aid] = mine
+        # (gained, lost) -> the one event for it; frozenset keys, as equal
+        # sets compare equal whatever order they were built in
         events: dict = {}
+        groups: dict = {}  # what reached a receiver -> its event
         own = (clamped.added, clamped.removed)
         pairs = []
         # aids only grow, so sorted order is the actor table's order
-        for bid, (claims, releases) in route(
-            self.support, self.interests, aid, clamped, gained, lost
-        ).items():
-            key = self.actors[bid].seen.crossings(claims, releases)
-            if key[0] or key[1]:
+        for bid in sorted(reached):
+            got = tuple(reached[bid])
+            event = groups.get(got)
+            if event is None:
+                key = got if bid == aid else (gained.intersection(got), lost.intersection(got))
                 event = events.get(key)
                 if event is None:
-                    patch = clamped if key == own else Patch(*key)
-                    event = events[key] = PatchEvent(patch)
-                pairs.append((bid, event))
+                    event = events[key] = PatchEvent(clamped if key == own else Patch(*key))
+                groups[got] = event
+            pairs.append((bid, event))
         self._enqueue(pairs)
 
     def _emit_ground(self, aid, kind: str, value) -> None:

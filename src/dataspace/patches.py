@@ -4,20 +4,23 @@ A patch is a disjoint (added, removed) pair of assertion sets: the sole
 mechanism for changing shared state.  A bag counts how many holders claim
 each assertion; only its support is ever seen.  An index files patterns so
 that a lookup returns exactly those that intersect a query, confirming with
-``intersect`` only the pairs its keys do not decide, and ``route`` turns one
-clamped patch into per-actor claims and releases through two of them.  An
-index also answers which holders a query reaches, sorted, and keeps that
-answer under the lookup's own keys (its filed slot and bucket, its filed
-slot alone, or the top-level wildcard) when the keys decide it, until any
-pattern is filed or unfiled; it never keeps more answers than it has filed
-buckets plus filed slots.
+``intersect`` only the pairs its keys do not decide.  ``route`` carries one
+clamped patch into two of them and returns the interests each assertion of
+the support delta reaches, plus what the patcher's own interest delta
+claims and releases: that delta is the only change a receiver's bag must be
+walked for, as gained support was seen by no one and lost support is seen by
+no one after.  An index also answers which holders a query reaches, sorted,
+and keeps that answer under the lookup's own keys (its filed slot and
+bucket, its filed slot alone, or the top-level wildcard) when the keys
+decide it, until any pattern is filed or unfiled; it never keeps more
+answers than it has filed buckets plus filed slots.
 ``visible`` recounts an actor's visible set from scratch; the network's
 oracle compares it with what the indexes delivered.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -198,7 +201,8 @@ class Index:
     rest: a settled pattern intersects every query that reaches its bucket,
     and so does any pattern when the query is settled itself; only an
     unsettled pattern against an unsettled query is confirmed with intersect.
-    One walk, :meth:`_reach`, finds the buckets a query reaches.
+    One walk, :meth:`_reach`, finds the buckets a query reaches and the pairs
+    in them that intersect it.
 
     :meth:`holders` keeps the sorted holders it finds while no bucket the
     lookup reaches holds an unsettled pattern: such a list is the same for
@@ -242,40 +246,45 @@ class Index:
         self._kept.clear()
 
     def _reach(self, q) -> tuple[list, bool]:
-        # the (settled, other) pair-sets of the buckets q reaches, and whether q is settled
+        # the pairs of the buckets q reaches whose pattern intersects q, and
+        # whether q's keys decide them all (no reached bucket holds an
+        # unsettled pattern): the one walk for matching and holders
         slots = self._slots
         if q is WILDCARD:
-            return [pairs for buckets in slots.values() for pairs in buckets.values()], True
-        slot, bucket, settled = _slot_keys(q)
-        buckets = slots.get(slot)
-        if buckets is None:
-            reached = []
-        elif bucket is WILDCARD:
-            reached = list(buckets.values())
-        else:  # its own bucket and its slot's wildcard bucket, where filed
-            pairs = buckets.get(bucket)
-            reached = [] if pairs is None else [pairs]
-            pairs = buckets.get(WILDCARD)
-            if pairs is not None:
-                reached.append(pairs)
-        wild = slots.get(WILDCARD)  # the top-level wildcard's one bucket
-        if wild is not None:
-            reached.append(wild[None])
-        return reached, settled
-
-    def matching(self, q) -> list:
-        """The (holder, pattern) pairs whose pattern intersects q, each pair once."""
-        reached, exact = self._reach(q)
+            reached = [pairs for buckets in slots.values() for pairs in buckets.values()]
+            exact = True
+        else:
+            slot, bucket, exact = _slot_keys(q)
+            buckets = slots.get(slot)
+            if buckets is None:
+                reached = []
+            elif bucket is WILDCARD:
+                reached = list(buckets.values())
+            else:  # its own bucket and its slot's wildcard bucket, where filed
+                pairs = buckets.get(bucket)
+                reached = [] if pairs is None else [pairs]
+                pairs = buckets.get(WILDCARD)
+                if pairs is not None:
+                    reached.append(pairs)
+            wild = slots.get(WILDCARD)  # the top-level wildcard's one bucket
+            if wild is not None:
+                reached.append(wild[None])
         found = []
+        decided = True
         for settled, other in reached:
             if settled:
                 found.extend(settled)
             if other:
+                decided = False
                 if exact:
                     found.extend(other)
                 else:
                     found.extend(pair for pair in other if intersect(pair[1], q) is not None)
-        return found
+        return found, decided
+
+    def matching(self, q) -> list:
+        """The (holder, pattern) pairs whose pattern intersects q, each pair once."""
+        return self._reach(q)[0]
 
     def holders(self, q) -> tuple:
         """The distinct holders of the patterns that intersect q, sorted.
@@ -299,43 +308,52 @@ class Index:
             return ()
         found = self._kept.get(key)
         if found is None:
-            found = tuple(sorted({h for h, _ in self.matching(q)}))
-            if not any(other for _, other in self._reach(q)[0]):  # the keys decide every pair
+            pairs, decided = self._reach(q)
+            found = tuple(sorted({h for h, _ in pairs}))
+            if decided:
                 self._kept[key] = found
         return found
 
 
-def route(support: Index, interests: Index, holder, own: Patch, gained, lost) -> dict:
-    """Carry one clamped patch into both indexes; each touched holder's claims and releases.
+def route(support: Index, interests: Index, holder, own: Patch, gained, lost) -> tuple:
+    """Carry one clamped patch into both indexes; who each delta assertion reaches.
 
     own is the holder's clamped patch, whose observe assertions are its
     interest delta; gained and lost are the support delta, the crossings
-    the aggregate bag returned for it.  A holder claims an assertion once
+    the aggregate bag returned for it.  An actor claims an assertion once
     for each of its interests that starts to intersect it and releases it
     once for each that stops, so its visible bag counts the interests
-    intersecting each assertion.  Holders
-    come in sorted order, each with its claims and its releases (an empty
-    tuple for a side it has nothing on).  Both lookups are exact
-    (:meth:`Index.matching`), so nothing is confirmed here.
+    intersecting each assertion.
+
+    Returns (lost pairs, gained pairs, claims, releases).  The first two list
+    each lost or gained assertion that reaches any interest, with its
+    (holder, pattern) pairs (:meth:`Index.matching`): a lost one against
+    every interest held before, a gained one against the interests that stay.
+    For every holder but this one, its pairs are its whole change, since
+    gained support was seen by no one and lost support is seen by no one
+    after.  claims and releases are what this holder's interest delta claims
+    and releases, against all support after and against surviving support;
+    only this holder's bag, which may see some of it already, needs
+    :meth:`Bag.crossings`.  Both lookups are exact, so nothing is confirmed
+    here.
     """
-    claims, releases = defaultdict(list), defaultdict(list)
+    reach_lost, reach_gained, claims, releases = [], [], [], []
     # the order of the four steps makes each (assertion, interest) pair that
     # appears or vanishes count exactly once
     for a in lost:  # lost support, against every interest held before
         support.remove(a)
-        for h, _ in interests.matching(a):
-            releases[h].append(a)
+        pairs = interests.matching(a)
+        if pairs:
+            reach_lost.append((a, pairs))
     for p in observed(own.removed):  # dropped interests, against surviving support
         interests.remove(p, holder)
-        releases[holder].extend(a for _, a in support.matching(p))
+        releases.extend(a for _, a in support.matching(p))
     for a in gained:  # new support, against the interests that stay
         support.add(a)
-        for h, _ in interests.matching(a):
-            claims[h].append(a)
+        pairs = interests.matching(a)
+        if pairs:
+            reach_gained.append((a, pairs))
     for p in observed(own.added):  # new interests, against all support after
         interests.add(p, holder)
-        claims[holder].extend(a for _, a in support.matching(p))
-    return {
-        h: (claims.get(h, ()), releases.get(h, ()))
-        for h in sorted(claims.keys() | releases.keys())
-    }
+        claims.extend(a for _, a in support.matching(p))
+    return reach_lost, reach_gained, claims, releases

@@ -14,6 +14,7 @@ from hypothesis import given
 from conftest import oracle_lines
 from dataspace import (
     Asserted,
+    Bag,
     Capture,
     Continue,
     MessageAction,
@@ -213,6 +214,100 @@ def test_a_fan_out_builds_as_many_patches_for_one_receiver_as_for_many(monkeypat
         counts.append(len(built))
         assert [aid for aid, _ in net.queue] == observers
     assert counts == [counts[0]] * 3, counts
+
+
+def test_a_fan_out_walks_as_many_bags_for_one_receiver_as_for_many(monkeypatch):
+    # only the aggregate and the patcher go through Bag.crossings: a
+    # receiver's change is the delta assertions its interests reach
+    walked = []
+    crossings = Bag.crossings
+    monkeypatch.setattr(
+        Bag, "crossings", lambda bag, *args: walked.append(bag) or crossings(bag, *args)
+    )
+    counts = []
+    for n in (1, 4, 32):
+        net = new_network()
+        interest = Patch({observe(rec("presence", 1, WILDCARD))}, ())
+        observers = [net.spawn(idle, None, [PatchAction(interest)]) for _ in range(n)]
+        publisher = net.spawn(idle, None)
+        net.run_until_quiescent(100)
+        for patch in (Patch({rec("presence", 1, 7)}, ()), Patch((), {rec("presence", 1, 7)})):
+            walked.clear()
+            net.interpret_action(publisher, PatchAction(patch))
+            counts.append(len(walked))
+            assert [aid for aid, _ in net.queue] == observers
+            net.run_until_quiescent(100)
+    assert counts == [1] * 6, counts
+    assert all(not net.actors[aid].seen for aid in observers)
+
+
+def test_receivers_reached_by_the_same_assertions_share_one_event():
+    # x reaches one observer of x, one of both and one holding two interests
+    # on x; y reaches the observer of y and the observer of both
+    x, y = rec("x", 1), rec("y", 1)
+    on_x, on_y = observe(rec("x", WILDCARD)), observe(rec("y", WILDCARD))
+    net = new_network()
+    interests = ({on_x}, {on_y}, {on_x, on_y}, {on_x, observe(x)})
+    sees_x, sees_y, sees_both, twice = [
+        net.spawn(idle, None, [PatchAction(Patch(held, ()))]) for held in interests
+    ]
+    publisher = net.spawn(idle, None)
+    net.run_until_quiescent(100, after_step=net.check_visibility)
+    gain = Patch({x, y}, ())
+    net.interpret_action(publisher, PatchAction(gain))
+    net.check_visibility()
+    events = dict(net.queue)
+    assert list(events) == [sees_x, sees_y, sees_both, twice]
+    assert events[sees_x] is events[twice]
+    assert events[sees_x].patch == Patch({x}, ())
+    assert events[sees_y].patch == Patch({y}, ())
+    assert events[sees_both].patch == gain
+    assert len({id(event) for event in events.values()}) == 3
+    assert net.actors[twice].seen == {x: 2}
+    assert net.actors[sees_both].seen == {x: 1, y: 1}
+    mark = len(net.trace.entries) - 1
+    net.run_until_quiescent(100, after_step=net.check_visibility)
+    # the change equal to the sender's is its clamped patch, trace form and all
+    patch_out, *patch_ins = net.trace.entries[mark:]
+    assert patch_out["kind"] == "patch-out"
+    assert [e["data"] is patch_out["data"] for e in patch_ins] == [False, False, True, False]
+    net.interpret_action(publisher, PatchAction(Patch((), {x, y})))
+    net.check_visibility()
+    assert [event.patch for _, event in net.queue] == [
+        Patch((), {x}),
+        Patch((), {y}),
+        Patch((), {x, y}),
+        Patch((), {x}),
+    ]
+    net.run_until_quiescent(100, after_step=net.check_visibility)
+    assert all(not entry.seen for entry in net.actors.values())
+
+
+def test_releasing_what_a_receiver_does_not_hold_crashes_the_patcher():
+    # a receiver's count goes below zero only if its bag was corrupted; the
+    # patcher crashes on it, as Bag.crossings makes it on its own bag
+    x = rec("x", 1)
+
+    def retract_on_message(event, state):
+        if isinstance(event, MessageEvent):
+            return Continue(state, [PatchAction(Patch((), {x}))])
+        return None
+
+    net = new_network()
+    observer = net.spawn(idle, None, [PatchAction(Patch({observe(rec("x", WILDCARD))}, ()))])
+    publisher = net.spawn(
+        retract_on_message, None, [PatchAction(Patch({x, observe(rec("go"))}, ()))]
+    )
+    net.run_until_quiescent(100)
+    assert net.actors[observer].seen == {x: 1}
+    del net.actors[observer].seen[x]
+    net.queue.append((publisher, MessageEvent(rec("go"))))
+    net.run_until_quiescent(100)
+    assert publisher not in net.actors
+    crashes = [e for e in net.trace.entries if e["kind"] == "crash"]
+    assert [(e["actor"], e["data"].split(":")[0]) for e in crashes] == [
+        (net._label(publisher), "KeyError")
+    ]
 
 
 def test_a_render_joins_a_fan_outs_patch_text_as_often_for_one_receiver_as_for_many(

@@ -10,7 +10,8 @@ inlines comprehensions (PEP 709).  The counts are generated on Python 3.11
 (``co_qualname`` needs 3.11), and the test runs there only.
 
 A change that does more or less work rewrites the file, as ``dataspace run
---out`` rewrites a golden, and says why::
+--out`` rewrites a golden, and says why; the rewrite prints each changed
+program's delta lines, in the form the test reports them::
 
     PYTHONPATH=src python tests/test_work_counts.py
 """
@@ -130,19 +131,23 @@ def counted_in_fresh_process(program: str) -> dict:
     return json.loads(out)
 
 
+def deltas(pinned: dict, got: dict) -> list[str]:
+    """One ``name: old -> new (+d)`` line per function whose count changed."""
+    return [
+        f"{name}: {pinned.get(name, 0)} -> {got.get(name, 0)} ({got.get(name, 0) - pinned.get(name, 0):+d})"
+        for name in sorted(pinned.keys() | got.keys())
+        if pinned.get(name, 0) != got.get(name, 0)
+    ]
+
+
 @pytest.mark.skipif(
     sys.version_info[:2] != (3, 11), reason="work counts are generated on Python 3.11"
 )
 @pytest.mark.parametrize("program", PROGRAMS)
 def test_work_counts_are_the_pinned_ones(program):
     pinned = json.loads(COUNTS.read_text(encoding="utf-8"))[program]
-    got = counted_in_fresh_process(program)
-    deltas = [
-        f"{name}: {pinned.get(name, 0)} -> {got.get(name, 0)} ({got.get(name, 0) - pinned.get(name, 0):+d})"
-        for name in sorted(pinned.keys() | got.keys())
-        if pinned.get(name, 0) != got.get(name, 0)
-    ]
-    assert not deltas, f"{program} call counts changed:\n" + "\n".join(deltas)
+    changed = deltas(pinned, counted_in_fresh_process(program))
+    assert not changed, f"{program} call counts changed:\n" + "\n".join(changed)
 
 
 def main(argv) -> int:
@@ -150,8 +155,13 @@ def main(argv) -> int:
         (program,) = argv
         print(json.dumps(count_calls(program)))
         return 0
+    pinned = json.loads(COUNTS.read_text(encoding="utf-8")) if COUNTS.exists() else {}
     counts = {program: counted_in_fresh_process(program) for program in PROGRAMS}
     COUNTS.write_text(json.dumps(counts, indent=1) + "\n", encoding="utf-8")
+    for program, got in counts.items():  # what the rewrite changed, as the test reports it
+        changed = deltas(pinned.get(program, {}), got)
+        if changed:
+            print(f"{program}:", *changed, sep="\n  ")
     return 0
 
 
