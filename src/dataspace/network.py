@@ -6,17 +6,9 @@ tick.  All shared-state changes flow through patches.  The network files every
 interest and every supported assertion in an index, so a patch or message
 reaches only the actors whose interests intersect what changed; each actor
 keeps a bag counting, per visible assertion, how many of its interests
-intersect it, and the crossings of those counts are its state change
-notifications.  A receiver's crossings are the changed assertions that
-reach it, since gained support is new to all and lost support leaves all;
-only the patcher's own interest delta can claim what it already sees, so
-only its bag is walked with ``Bag.crossings``.  A message goes to the
-holders the interests index returns, sorted; the index keeps each list
-under the lookup's own keys until any interest is filed or unfiled, since
-interests change far less often than messages flow, and it never keeps more
-lists than it has filed buckets plus filed slots: messages whose bucket is
-not filed share their slot's list, and those whose slot is not filed share
-the top-level wildcard's.
+intersect it, and :meth:`Network._apply_actor_patch` decides what each
+receiver of a patch is told.  A message goes to the holders the interests
+index returns, sorted (:meth:`Index.holders`).
 ``check_visibility`` recounts all of this from scratch as a test oracle.
 Scheduling is a single FIFO of (actor, event) pairs, so
 identical programs produce identical traces: a fan-out joins it in one
@@ -44,7 +36,6 @@ from .patches import (
     delta,
     interests_of,
     observed,
-    route,
     visible,
 )
 from .tracing import TraceLog, patch_jsonable
@@ -299,20 +290,24 @@ class Network:
         """Apply an actor's patch and fan the change out to its receivers.
 
         The aggregate bag takes the claims and releases in one walk
-        (:meth:`Bag.crossings`), and :func:`route` says which interests each
-        assertion of its change reaches.  Gained support is new to every
-        receiver and lost support leaves every receiver, so each pair counts
-        into or out of its receiver's seen bag with plain dict operations
-        (releasing what a receiver does not hold raises KeyError, as
-        ``crossings`` would), and its change is the assertions that reached
-        it.  Only the patcher's own bag, whose interest delta may claim or
-        release what it already sees, goes through ``crossings``.  Receivers
-        reached by the same assertions build their change once, and receivers
-        whose change is equal share one PatchEvent, so one Patch is built per
-        distinct change and, through the patch's cached trace form, one
-        patch-in ``data`` object.  A change equal to the clamped patch itself
-        gets that patch, so its patch-ins share the patch-out's form and no
-        second Patch is built.
+        (:meth:`Bag.crossings`); the support delta it returns, and the
+        patcher's interest delta (the observe assertions of its clamped
+        patch), go into the support and interests indexes in four steps.  An
+        actor's seen bag counts, per assertion, its interests that intersect
+        it, so each (assertion, interest) pair that appears claims one copy
+        and each that vanishes releases one; both lookups are exact, so
+        nothing is confirmed here.  Gained support was seen by no receiver
+        and lost support is seen by none after, so a receiver's pairs are
+        plain dict updates (releasing what it does not hold raises KeyError,
+        as ``crossings`` would) and its change is the delta assertions that
+        reached it.  Only the patcher's own bag, whose interest delta may
+        claim or release what it already sees, goes through ``crossings``.
+        Receivers reached by the same assertions build their change once,
+        and receivers whose change is equal share one PatchEvent, so one
+        Patch is built per distinct change and, through the patch's cached
+        trace form, one patch-in ``data`` object.  A change equal to the
+        clamped patch itself gets that patch, so its patch-ins share the
+        patch-out's form and no second Patch is built.
         """
         entry = self.actors[aid]
         clamped = clamp_patch(patch, entry.asserted)
@@ -332,15 +327,16 @@ class Network:
         entry.asserted = apply_patch(entry.asserted, clamped)
         gained, lost = self.aggregate.crossings(clamped.added, clamped.removed)
         self.trace.emit(entry.label, "patch-out", encoded)
-        reach_lost, reach_gained, claims, releases = route(
-            self.support, self.interests, aid, clamped, gained, lost
-        )
-        actors = self.actors
+        support, interests, actors = self.support, self.interests, self.actors
         # a receiver -> the delta assertions that reached it, one per pair;
         # the patcher -> its (gained, lost)
         reached: dict = {}
-        for a, found in reach_lost:
-            for bid, _ in found:
+        claims, releases = [], []  # the patcher's, for its crossings
+        # the order of the four steps makes each (assertion, interest) pair
+        # that appears or vanishes count exactly once
+        for a in lost:  # lost support, against every interest held before
+            support.remove(a)
+            for bid, _ in interests.matching(a):
                 if bid == aid:
                     releases.append(a)
                     continue
@@ -349,14 +345,21 @@ class Network:
                 if n > 1:
                     seen[a] = n - 1
                 reached.setdefault(bid, []).append(a)
-        for a, found in reach_gained:
-            for bid, _ in found:
+        for p in observed(clamped.removed):  # dropped interests, against surviving support
+            interests.remove(p, aid)
+            releases.extend(a for _, a in support.matching(p))
+        for a in gained:  # gained support, against the interests that stay
+            support.add(a)
+            for bid, _ in interests.matching(a):
                 if bid == aid:
                     claims.append(a)
                     continue
                 seen = actors[bid].seen
                 seen[a] = seen.get(a, 0) + 1
                 reached.setdefault(bid, []).append(a)
+        for p in observed(clamped.added):  # new interests, against all support after
+            interests.add(p, aid)
+            claims.extend(a for _, a in support.matching(p))
         if claims or releases:
             mine = entry.seen.crossings(claims, releases)
             if mine[0] or mine[1]:

@@ -4,16 +4,8 @@ A patch is a disjoint (added, removed) pair of assertion sets: the sole
 mechanism for changing shared state.  A bag counts how many holders claim
 each assertion; only its support is ever seen.  An index files patterns so
 that a lookup returns exactly those that intersect a query, confirming with
-``intersect`` only the pairs its keys do not decide.  ``route`` carries one
-clamped patch into two of them and returns the interests each assertion of
-the support delta reaches, plus what the patcher's own interest delta
-claims and releases: that delta is the only change a receiver's bag must be
-walked for, as gained support was seen by no one and lost support is seen by
-no one after.  An index also answers which holders a query reaches, sorted,
-and keeps that answer under the lookup's own keys (its filed slot and
-bucket, its filed slot alone, or the top-level wildcard) when the keys
-decide it, until any pattern is filed or unfiled; it never keeps more
-answers than it has filed buckets plus filed slots.
+``intersect`` only the pairs its keys do not decide, and answers which
+holders a query reaches, keeping those answers as :class:`Index` says.
 ``visible`` recounts an actor's visible set from scratch; the network's
 oracle compares it with what the indexes delivered.
 """
@@ -36,7 +28,6 @@ __all__ = [
     "delta",
     "interests_of",
     "observed",
-    "route",
     "seq_patches",
     "visible",
 ]
@@ -314,46 +305,3 @@ class Index:
                 self._kept[key] = found
         return found
 
-
-def route(support: Index, interests: Index, holder, own: Patch, gained, lost) -> tuple:
-    """Carry one clamped patch into both indexes; who each delta assertion reaches.
-
-    own is the holder's clamped patch, whose observe assertions are its
-    interest delta; gained and lost are the support delta, the crossings
-    the aggregate bag returned for it.  An actor claims an assertion once
-    for each of its interests that starts to intersect it and releases it
-    once for each that stops, so its visible bag counts the interests
-    intersecting each assertion.
-
-    Returns (lost pairs, gained pairs, claims, releases).  The first two list
-    each lost or gained assertion that reaches any interest, with its
-    (holder, pattern) pairs (:meth:`Index.matching`): a lost one against
-    every interest held before, a gained one against the interests that stay.
-    For every holder but this one, its pairs are its whole change, since
-    gained support was seen by no one and lost support is seen by no one
-    after.  claims and releases are what this holder's interest delta claims
-    and releases, against all support after and against surviving support;
-    only this holder's bag, which may see some of it already, needs
-    :meth:`Bag.crossings`.  Both lookups are exact, so nothing is confirmed
-    here.
-    """
-    reach_lost, reach_gained, claims, releases = [], [], [], []
-    # the order of the four steps makes each (assertion, interest) pair that
-    # appears or vanishes count exactly once
-    for a in lost:  # lost support, against every interest held before
-        support.remove(a)
-        pairs = interests.matching(a)
-        if pairs:
-            reach_lost.append((a, pairs))
-    for p in observed(own.removed):  # dropped interests, against surviving support
-        interests.remove(p, holder)
-        releases.extend(a for _, a in support.matching(p))
-    for a in gained:  # new support, against the interests that stay
-        support.add(a)
-        pairs = interests.matching(a)
-        if pairs:
-            reach_gained.append((a, pairs))
-    for p in observed(own.added):  # new interests, against all support after
-        interests.add(p, holder)
-        claims.extend(a for _, a in support.matching(p))
-    return reach_lost, reach_gained, claims, releases

@@ -1,5 +1,6 @@
 import enum
 import importlib
+import itertools
 import os
 import random
 import subprocess
@@ -47,7 +48,7 @@ from dataspace import tracing
 from dataspace.network import _TICK, Network, _step_nested
 from dataspace.patches import observed
 from dataspace.scenarios import build_bank_account_plain
-from dataspace.values import to_jsonable
+from dataspace.values import from_jsonable, to_jsonable
 
 
 def account(x):
@@ -1016,14 +1017,16 @@ def player(event, state):
     return None
 
 
-def run_random_program(seed, check=Network.check_visibility):
+def run_random_program(seed, check=Network.check_visibility, *, fifo=False):
     """2-7 players, some in one nested network, driven by random actions.
 
     check, unless None, runs on the ground network after every dispatch.
+    Events are dispatched in a random order, or oldest first with fifo.
     """
     rng = random.Random(seed)
     net = new_network()
     after_step = None if check is None else (lambda: check(net))
+    pick = None if fifo else rng.randrange
     inner = net.spawn_nested()
     for _ in range(rng.randint(2, 7)):
         host = rng.choice((net, inner))
@@ -1033,7 +1036,7 @@ def run_random_program(seed, check=Network.check_visibility):
         players = [aid for aid, e in host.actors.items() if e.behaviour is not _step_nested]
         if players:
             host.interpret_action(rng.choice(players), random_action(rng, budget=2))
-        net.run_until_quiescent(2000, pick=rng.randrange, after_step=after_step)
+        net.run_until_quiescent(2000, pick=pick, after_step=after_step)
     return net
 
 
@@ -1048,6 +1051,41 @@ def test_visibility_oracle_under_randomized_dispatch():
         net = run_random_program(seed)
         net.check_visibility()
         assert not [e for e in net.trace.entries if e["kind"] == "crash"], seed
+
+
+def test_patch_ins_replay_to_what_each_actor_sees_under_fifo_dispatch():
+    # check_visibility recounts bags; this checks what receivers are told.
+    # Dispatched oldest first, an actor's patch-ins arrive in the order its
+    # bag crossed, so at each quiescence, replayed from the trace, each one
+    # adds only what the actor did not see and removes only what it did,
+    # and together they give what it sees, in every network of the tree
+    def same_as_replayed(net, replayed):
+        for e in net.actors.values():
+            assert replayed.get(e.label, set()) == e.last_visible, e.label
+            if e.behaviour is _step_nested:
+                same_as_replayed(e.state, replayed)
+
+    for seed in range(300):
+        replayed = {}  # actor label -> the patch-ins it was told, applied in order
+        done = 0  # trace entries replayed so far
+
+        def replay(net):
+            nonlocal done
+            if net.queue:  # not quiescent: some receivers are yet to be told
+                return
+            entries = net.trace.entries
+            for e in itertools.islice(entries, done, None):
+                if e["kind"] == "patch-in":
+                    held = replayed.setdefault(e["actor"], set())
+                    added = {from_jsonable(a) for a in e["data"]["added"]}
+                    removed = {from_jsonable(a) for a in e["data"]["removed"]}
+                    assert held.isdisjoint(added) and removed <= held, (seed, e)
+                    held -= removed
+                    held |= added
+            done = len(entries)
+            same_as_replayed(net, replayed)
+
+        replay(run_random_program(seed, check=replay, fifo=True))
 
 
 def check_message_routing(net):
