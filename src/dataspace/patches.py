@@ -159,20 +159,20 @@ def _atom_key(a):
 
 
 def _slot_keys(p):
-    # (slot, bucket, settled) a pattern is filed under: a record by label and
-    # arity, then by its first field (an atom, a record's label and arity, or
-    # the wildcard); a top-level wildcard and each bare atom by themselves.
-    # A pattern is settled when its slot and bucket decide every intersection
-    # with it: every pattern is, except a record whose first field is a record
-    # or whose later fields are not all wildcards.  A record's keys are
-    # computed once and kept on it.
+    # (slot, bucket, settled): the keys p is filed under, laid out as Index's
+    # docstring says.  A pattern is settled when its slot and bucket decide
+    # every intersection with it: every pattern is, except a record whose
+    # first field is a record or whose later fields are not all wildcards.
+    # A record's keys are computed once and kept on it.
     if isinstance(p, Record):
         keys = p._keys
         if keys is None:
             keys = _record_keys(p)
             object.__setattr__(p, "_keys", keys)
         return keys
-    return _atom_key(p), None, True
+    if p is WILDCARD:
+        return WILDCARD, WILDCARD, True
+    return (type(p), p), None, True
 
 
 def _record_keys(p):
@@ -188,27 +188,31 @@ def _record_keys(p):
 class Index:
     """Patterns filed by shape and first field, each under the holder filing it.
 
+    A pattern is filed under its slot (a record's label and arity, or a bare
+    atom), then its bucket (a record's first field: an atom, a record's label
+    and arity, or the wildcard; None without one); the top-level wildcard
+    under the wildcard at both levels.  At each level a wildcard key reaches
+    every entry, and any other key its own entry and that level's wildcard.
+
     A lookup is exact.  Each bucket keeps its settled pairs apart from the
     rest: a settled pattern intersects every query that reaches its bucket,
     and so does any pattern when the query is settled itself; only an
     unsettled pattern against an unsettled query is confirmed with intersect.
-    One walk, :meth:`_reach`, finds the buckets a query reaches and the pairs
-    in them that intersect it.
+    One walk, :meth:`_reach`, takes that rule to the slots and then to the
+    buckets, and confirms the pairs it finds.
 
-    :meth:`holders` keeps the sorted holders it finds while no bucket the
-    lookup reaches holds an unsettled pattern: such a list is the same for
-    every query with the lookup's keys.  It is kept under (slot, bucket) for a
-    filed bucket, under the slot for an unfiled bucket of a filed slot, and
-    under the top-level wildcard when only that reaches the query; a query
-    that nothing reaches keeps nothing.  So there are never more kept lists
-    than filed buckets plus filed slots.  Filing or unfiling any pattern drops
-    every kept list, as :meth:`clear` does: interests change far less often
-    than messages flow.
+    :meth:`holders` keeps a non-empty answer while no bucket the lookup
+    reached holds an unsettled pattern, under a key built by the same rule:
+    the slot if it is filed, else the wildcard, then the bucket if that slot
+    files it, else the wildcard.  Every query with one key reaches the same
+    buckets, and there are never more kept lists than filed buckets plus
+    filed slots.  Filing or unfiling any pattern drops every kept list, as
+    :meth:`clear` does: interests change far less often than messages flow.
     """
 
     def __init__(self):
         self._slots: dict = {}  # slot -> bucket -> ({settled pairs}, {other pairs})
-        self._kept: dict = {}  # (slot, bucket), slot, or _ -> sorted holders
+        self._kept: dict = {}  # key, built as the class docstring says -> sorted holders
 
     def add(self, p, holder=None) -> None:
         slot, bucket, settled = _slot_keys(p)
@@ -237,40 +241,34 @@ class Index:
         self._kept.clear()
 
     def _reach(self, q) -> tuple[list, bool]:
-        # the pairs of the buckets q reaches whose pattern intersects q, and
-        # whether q's keys decide them all (no reached bucket holds an
-        # unsettled pattern): the one walk for matching and holders
+        # the pairs q's keys reach, slots then buckets, whose pattern
+        # intersects q, and whether the keys decide them all (no reached
+        # bucket holds an unsettled pattern): the one walk for both lookups
+        slot, bucket, exact = _slot_keys(q)
         slots = self._slots
-        if q is WILDCARD:
-            reached = [pairs for buckets in slots.values() for pairs in buckets.values()]
-            exact = True
-        else:
-            slot, bucket, exact = _slot_keys(q)
-            buckets = slots.get(slot)
-            if buckets is None:
-                reached = []
-            elif bucket is WILDCARD:
-                reached = list(buckets.values())
-            else:  # its own bucket and its slot's wildcard bucket, where filed
-                pairs = buckets.get(bucket)
-                reached = [] if pairs is None else [pairs]
-                pairs = buckets.get(WILDCARD)
-                if pairs is not None:
-                    reached.append(pairs)
-            wild = slots.get(WILDCARD)  # the top-level wildcard's one bucket
-            if wild is not None:
-                reached.append(wild[None])
         found = []
         decided = True
-        for settled, other in reached:
-            if settled:
-                found.extend(settled)
-            if other:
-                decided = False
-                if exact:
-                    found.extend(other)
-                else:
-                    found.extend(pair for pair in other if intersect(pair[1], q) is not None)
+        for buckets in (
+            slots.values() if slot is WILDCARD else (slots.get(slot), slots.get(WILDCARD))
+        ):
+            if buckets is None:
+                continue
+            for pairs in (
+                buckets.values()
+                if bucket is WILDCARD
+                else (buckets.get(bucket), buckets.get(WILDCARD))
+            ):
+                if pairs is None:
+                    continue
+                settled, other = pairs
+                if settled:
+                    found.extend(settled)
+                if other:
+                    decided = False
+                    if exact:
+                        found.extend(other)
+                    else:
+                        found.extend(pair for pair in other if intersect(pair[1], q) is not None)
         return found, decided
 
     def matching(self, q) -> list:
@@ -280,28 +278,22 @@ class Index:
     def holders(self, q) -> tuple:
         """The distinct holders of the patterns that intersect q, sorted.
 
-        The answer is kept under q's keys (see the class docstring) unless a
-        bucket the lookup reached holds an unsettled pattern or q reaches
-        every bucket of its slot.  Kept answers last until the next
-        :meth:`add`, :meth:`remove` or :meth:`clear`, never more of them than
-        filed buckets plus filed slots.
+        The answer is kept as the class docstring says, until the next
+        :meth:`add`, :meth:`remove` or :meth:`clear`.  A query with a
+        wildcard key keeps none: no one key stands for all it reaches.
         """
         slot, bucket, _ = _slot_keys(q)
-        if slot is WILDCARD or bucket is WILDCARD:  # q reaches every bucket of a slot
+        if slot is WILDCARD or bucket is WILDCARD:  # q reaches every entry of a level
             return tuple(sorted({h for h, _ in self.matching(q)}))
         slots = self._slots
         buckets = slots.get(slot)
-        if buckets is not None:
-            key = (slot, bucket) if bucket in buckets else slot
-        elif WILDCARD in slots:
-            key = WILDCARD  # only the top-level wildcard reaches q
-        else:
-            return ()
+        if buckets is None:
+            slot, buckets = WILDCARD, slots.get(WILDCARD, ())
+        key = slot, bucket if bucket in buckets else WILDCARD
         found = self._kept.get(key)
         if found is None:
             pairs, decided = self._reach(q)
             found = tuple(sorted({h for h, _ in pairs}))
-            if decided:
+            if decided and found:
                 self._kept[key] = found
         return found
-

@@ -1148,6 +1148,13 @@ def test_kept_receiver_lists_are_bounded_by_the_filed_buckets_and_die_with_the_i
     sender = net.spawn(idle, None)
     net.interpret_action(sender, MessageAction(rec("nobody", 1)))
     assert kept_lists(net.interests) == before
+    # nor is the empty answer of a message whose slot is filed but whose bucket
+    # no interest reaches
+    only = new_network()
+    listen(only, [rec("tick", 5)], 0)
+    sender = only.spawn(idle, None)
+    only.interpret_action(sender, MessageAction(rec("tick", 7)))
+    assert kept_lists(only.interests) == 0
     # under one top-level wildcard, every message whose slot no interest files
     # shares the wildcard's one list, however many distinct slots they name
     wild = new_network()

@@ -307,6 +307,19 @@ index_ops = st.lists(st.tuples(st.booleans(), st.integers(0, 2), filed_patterns)
     [rec("r", rec("a", 1), 2), rec("r", rec("a", 2), 3), rec("r", 1, 2), rec("r", 1, 3)],
 )
 @example([(False, 0, 1), (False, 1, True), (True, 0, 1)], [1, True])  # 1 against #t
+# the top-level wildcard, filed under the wildcard at both levels, beside a bare
+# atom, a zero-field record and a record's own and wildcard buckets; no pattern
+# is filed in the slot of (q 1)
+@example(
+    [
+        (False, 0, WILDCARD),
+        (False, 1, 1),
+        (False, 2, rec("r")),
+        (False, 0, rec("r", 1, WILDCARD)),
+        (False, 1, rec("r", WILDCARD, 2)),
+    ],
+    [WILDCARD, 1, rec("r"), rec("r", WILDCARD, 2), rec("r", 1, 2), rec("q", 1)],
+)
 def test_index_matching_is_exactly_the_filed_pairs_that_intersect(ops, extra):
     def typed(pairs):  # Python's equality would merge the pairs of 1 and #t
         return [(h, type(p), p) for h, p in pairs]
@@ -326,6 +339,7 @@ def test_index_matching_is_exactly_the_filed_pairs_that_intersect(ops, extra):
         # lookups between the changes, so that kept holder lists outlive some
         for q in FILED + tuple(extra):
             assert index.holders(q) == holders(q), q
+        assert len(index._kept) <= sum(map(len, index._slots.values())) + len(index._slots)
     for q in FILED + tuple(extra):
         found = typed(index.matching(q))
         assert len(found) == len(set(found)), q  # each pair once
