@@ -133,11 +133,6 @@ class _ActorEntry:
     seen: Bag = field(default_factory=Bag)
     label: str = ""  # the actor's name in trace entries, set by _register
 
-    @property
-    def last_visible(self) -> frozenset:
-        """The assertions this actor currently sees."""
-        return frozenset(self.seen)
-
 
 @dataclass
 class Continue:
@@ -411,29 +406,18 @@ class Network:
             self._tick_pending = True
             self._parent._enqueue([(self.path, _TICK)])
 
-    def dispatch_one(self, index: int = 0) -> bool:
-        """Deliver one queued event to its actor; False when quiescent.
+    def dispatch_one(self) -> bool:
+        """Deliver the oldest queued event to its actor; False when quiescent.
 
-        index selects which queued event to take (default: oldest); tests
-        use it to explore alternative interleavings.  On an empty queue any
-        index returns False (a nested network's tick relies on this);
-        otherwise an index outside the queue raises ValueError and leaves
-        the queue and the trace as they were.  A nested network's tick is
-        an event like any other, so a tick whose child queue was emptied
-        meanwhile (its actor quit) is a dispatch that does nothing.  The
-        event reaches its actor through one call, ``behaviour(event,
-        state)``, inside :meth:`_run_actor`.
+        A nested network's tick is an event like any other, so a tick whose
+        child queue was emptied meanwhile (its actor quit) is a dispatch that
+        does nothing.  The event reaches its actor through one call,
+        ``behaviour(event, state)``, inside :meth:`_run_actor`.
         """
         queue = self.queue
         if not queue:
             return False
-        if index:  # an explicit pick; the default takes the head in one popleft
-            if not 0 < index < len(queue):
-                raise ValueError(f"no queued event at index {index} of {len(queue)}")
-            aid, event = queue[index]
-            del queue[index]
-        else:
-            aid, event = queue.popleft()
+        aid, event = queue.popleft()
         entry = self.actors[aid]
         if type(event) is PatchEvent:
             self.trace.emit(entry.label, "patch-in", patch_jsonable(event.patch))
@@ -444,13 +428,18 @@ class Network:
         """Dispatch until the queue drains; NonQuiescent past max_steps.
 
         This is the only loop around :meth:`dispatch_one`, and it makes one
-        ``dispatch_one`` call per event.  pick, given the queue length,
-        chooses which queued event to dispatch next (default: the oldest;
-        an index outside the queue raises ValueError); it is called only
-        while the queue is non-empty.  Tests use it to explore alternative
-        interleavings.  after_step, if given, runs after every dispatch;
-        passing :meth:`check_visibility` recounts visibility from scratch
-        each step.  Returns the number of dispatches made.
+        ``dispatch_one`` call per event.  pick chooses which actor goes next:
+        given the number n of actors with queued events, listed in the order
+        of their oldest queued event, it returns k with 0 <= k < n, and that
+        actor's oldest event is dispatched (default: the oldest event of
+        all).  So each actor takes its own events in the order they were
+        queued, whatever pick does; a k outside the range raises ValueError
+        before anything is dispatched.  pick is called only while the queue
+        is non-empty, and tests use it to explore alternative interleavings.
+        A nested network's own events are always dispatched oldest first.
+        after_step, if given, runs after every dispatch; passing
+        :meth:`check_visibility` recounts visibility from scratch each step.
+        Returns the number of dispatches made.
         """
         if max_steps <= 0:
             raise ValueError("max_steps must be positive")
@@ -458,10 +447,17 @@ class Network:
         queue = self.queue
         for steps in range(max_steps):
             if pick is not None and queue:
-                dispatched = dispatch(pick(len(queue)))
-            else:
-                dispatched = dispatch()
-            if not dispatched:
+                oldest: dict = {}  # actor -> the queue index of its oldest event
+                for i, (aid, _) in enumerate(queue):
+                    oldest.setdefault(aid, i)
+                k = pick(len(oldest))
+                if not 0 <= k < len(oldest):
+                    raise ValueError(f"no queued event for pick {k} of {len(oldest)} actors")
+                i = list(oldest.values())[k]
+                pair = queue[i]  # the chosen event goes to the head, for dispatch_one
+                del queue[i]
+                queue.appendleft(pair)
+            if not dispatch():
                 return steps
             if after_step is not None:
                 after_step()
@@ -492,10 +488,10 @@ class Network:
         for bid, entry in self.actors.items():
             interests = tuple(observed(entry.asserted))
             expect = visible(support, interests)
-            if expect != entry.last_visible:
+            if expect != entry.seen.keys():
                 raise VisibilityMismatch(
                     f"visible-set drift at {self._label(bid)}: "
-                    f"{set(entry.last_visible)} != {set(expect)}"
+                    f"{set(entry.seen)} != {set(expect)}"
                 )
             for a in expect:
                 n = sum(intersect(p, a) is not None for p in interests)

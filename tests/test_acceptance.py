@@ -119,7 +119,7 @@ def test_criterion_4_retraction_on_failure():
         net.run_until_quiescent(500)
         victim = rng.choice(actors)
         before = {
-            aid: e.last_visible for aid, e in net.actors.items() if aid != victim
+            aid: frozenset(e.seen) for aid, e in net.actors.items() if aid != victim
         }
         net.terminate_actor(victim, crash="induced failure")
         pending = {}

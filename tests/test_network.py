@@ -45,10 +45,10 @@ from dataspace import (
     visible,
 )
 from dataspace import tracing
-from dataspace.network import _TICK, Network, _step_nested
-from dataspace.patches import observed
+from dataspace.network import _TICK, Network, _ActorEntry, _step_nested
+from dataspace.patches import apply_patch, clamp_patch, delta, observed
 from dataspace.scenarios import build_bank_account_plain
-from dataspace.values import from_jsonable, to_jsonable
+from dataspace.values import from_jsonable, is_pattern, to_jsonable
 
 
 def account(x):
@@ -722,26 +722,10 @@ def _three_queued_messages():
 )
 def test_an_out_of_range_pick_raises_and_dispatches_nothing(pick):
     net, seen = _three_queued_messages()
-    queued = list(net.queue)
-    with pytest.raises(ValueError, match="no queued event"):
-        net.run_until_quiescent(50, pick=pick)
-    assert list(net.queue) == queued and seen == []
-
-
-@pytest.mark.parametrize("index", [3, -1])
-def test_dispatch_one_at_an_index_outside_the_queue_raises_and_changes_nothing(index):
-    net, seen = _three_queued_messages()
     queued, entries = list(net.queue), list(net.trace.entries)
     with pytest.raises(ValueError, match="no queued event"):
-        net.dispatch_one(index)
+        net.run_until_quiescent(50, pick=pick)
     assert list(net.queue) == queued and net.trace.entries == entries and seen == []
-
-
-def test_dispatch_one_on_an_empty_queue_is_false_at_any_index():
-    # a nested network's tick may find its child's queue already empty
-    net = new_network()
-    assert net.dispatch_one(3) is False
-    assert net.dispatch_one() is False
 
 
 def test_terminating_an_actor_filters_the_queue_in_place():
@@ -768,10 +752,23 @@ def test_terminating_an_actor_filters_the_queue_in_place():
     assert got == [0, 0, 1, 1]
 
 
-def test_a_pick_of_the_last_index_dispatches_the_newest_event():
-    net, seen = _three_queued_messages()
-    net.run_until_quiescent(50, pick=lambda n: n - 1)
-    assert seen == [2, 1, 0]
+def test_a_pick_of_the_last_actor_keeps_that_actors_events_in_order():
+    # pick chooses an actor, not a queued event: a watcher told of (x 1)
+    # and then of its retraction is told in that order, whatever is picked
+    net = new_network()
+    x = Record(Sym("x"), (WILDCARD,))
+    watcher = net.spawn(idle, None, [PatchAction(Patch({observe(x)}, ()))])
+    publisher = net.spawn(idle, None)
+    net.interpret_action(publisher, PatchAction(Patch({rec("x", 1)}, ())))
+    net.interpret_action(publisher, PatchAction(Patch((), {rec("x", 1)})))
+    net.run_until_quiescent(50, pick=lambda n: n - 1, after_step=net.check_visibility)
+    told = [
+        e["data"]
+        for e in net.trace.entries
+        if e["kind"] == "patch-in" and e["actor"] == net._label(watcher)
+    ]
+    one = to_jsonable(rec("x", 1))
+    assert told[-2:] == [{"added": [one], "removed": []}, {"added": [], "removed": [one]}]
 
 
 def test_a_dispatch_budget_must_be_positive():
@@ -972,8 +969,8 @@ def test_equal_interests_of_different_types_are_confirmed_per_holder():
     d = net.spawn(idle, None, [PatchAction(Patch({observe(rec("a", 1))}, ()))])
     a = net.spawn(idle, None, [PatchAction(Patch({rec("a", 1)}, ()))])
     net.run_until_quiescent(10, after_step=net.check_visibility)
-    assert not net.actors[c].last_visible
-    assert [type(v.fields[0]) for v in net.actors[d].last_visible] == [int]
+    assert not net.actors[c].seen
+    assert [type(v.fields[0]) for v in net.actors[d].seen] == [int]
     net.interpret_action(a, MessageAction(rec("a", 1)))
     assert list(net.queue) == [(d, MessageEvent(rec("a", 1)))]
 
@@ -1017,14 +1014,15 @@ def player(event, state):
     return None
 
 
-def run_random_program(seed, check=Network.check_visibility, *, fifo=False):
+def run_random_program(seed, check=Network.check_visibility, *, fifo=False, network=new_network):
     """2-7 players, some in one nested network, driven by random actions.
 
     check, unless None, runs on the ground network after every dispatch.
-    Events are dispatched in a random order, or oldest first with fifo.
+    Actors take turns in a random order, or events go oldest first with fifo.
+    network() builds the ground network.
     """
     rng = random.Random(seed)
-    net = new_network()
+    net = network()
     after_step = None if check is None else (lambda: check(net))
     pick = None if fifo else rng.randrange
     inner = net.spawn_nested()
@@ -1053,15 +1051,17 @@ def test_visibility_oracle_under_randomized_dispatch():
         assert not [e for e in net.trace.entries if e["kind"] == "crash"], seed
 
 
-def test_patch_ins_replay_to_what_each_actor_sees_under_fifo_dispatch():
+@pytest.mark.parametrize("fifo", [True, False], ids=["fifo", "random"])
+def test_patch_ins_replay_to_what_each_actor_sees(fifo):
     # check_visibility recounts bags; this checks what receivers are told.
-    # Dispatched oldest first, an actor's patch-ins arrive in the order its
-    # bag crossed, so at each quiescence, replayed from the trace, each one
-    # adds only what the actor did not see and removes only what it did,
-    # and together they give what it sees, in every network of the tree
+    # Each actor takes its own events oldest first, whatever is picked, so
+    # its patch-ins arrive in the order its bag crossed: at each quiescence,
+    # replayed from the trace, each one adds only what the actor did not see
+    # and removes only what it did, and together they give what it sees, in
+    # every network of the tree
     def same_as_replayed(net, replayed):
         for e in net.actors.values():
-            assert replayed.get(e.label, set()) == e.last_visible, e.label
+            assert replayed.get(e.label, set()) == e.seen.keys(), e.label
             if e.behaviour is _step_nested:
                 same_as_replayed(e.state, replayed)
 
@@ -1085,7 +1085,72 @@ def test_patch_ins_replay_to_what_each_actor_sees_under_fifo_dispatch():
             done = len(entries)
             same_as_replayed(net, replayed)
 
-        replay(run_random_program(seed, check=replay, fifo=True))
+        replay(run_random_program(seed, check=replay, fifo=fifo))
+
+
+class BruteForceNetwork(Network):
+    """The routing before the indexes, as a reference for the trace.
+
+    After each patch every actor's visible set is recomputed from the
+    support and its interests, and each change is queued in aid order; a
+    message goes to every actor with an interest that matches it.  Interests
+    are read with ``observed``, not ``interests_of``, whose frozenset would
+    merge 1 and #t.  It shares with Network the dispatcher, the actor table
+    and the trace, not the indexes, the bags or the fan-out.
+    """
+
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self.told: dict = {}  # aid -> what the actor was last told it sees
+
+    def spawn_nested(self):
+        entry = _ActorEntry(behaviour=_step_nested, state=None)
+        entry.state = BruteForceNetwork(_path=self._register(entry), _parent=self)
+        return entry.state
+
+    def _apply_actor_patch(self, aid, patch):
+        entry = self.actors[aid]
+        clamped = clamp_patch(patch, entry.asserted)
+        if clamped.is_empty():
+            return
+        for a in clamped.added:
+            if not is_pattern(a):
+                raise TypeError(f"not a pattern: {a!r}")
+        encoded = tracing.patch_jsonable(clamped)
+        for a in clamped.added:
+            if not (a is WILDCARD or isinstance(a, Record)):
+                raise TypeError(f"bare atom asserted: {a!r}")
+        entry.asserted = apply_patch(entry.asserted, clamped)
+        self.trace.emit(entry.label, "patch-out", encoded)
+        support = frozenset().union(*(e.asserted for e in self.actors.values()))
+        pairs = []
+        for bid, e in self.actors.items():
+            was = self.told.get(bid, frozenset())
+            now = self.told[bid] = visible(support, observed(e.asserted))
+            if now != was:
+                pairs.append((bid, PatchEvent(delta(was, now))))
+        self._enqueue(pairs)
+
+    def _send_message(self, sender, body):
+        self._emit_ground(sender, "message", body)
+        event = MessageEvent(body)
+        self._enqueue(
+            [
+                (bid, event)
+                for bid, e in self.actors.items()
+                if any(matches(p, body) for p in observed(e.asserted))
+            ]
+        )
+
+
+@pytest.mark.parametrize("fifo", [True, False], ids=["fifo", "random"])
+def test_random_programs_trace_as_under_brute_force_routing(fifo):
+    # the whole trace, messages and what each receiver is told included,
+    # is the one the pre-index semantics gives
+    for seed in range(300):
+        got = run_random_program(seed, check=None, fifo=fifo).trace.lines()
+        want = run_random_program(seed, check=None, fifo=fifo, network=BruteForceNetwork)
+        assert got == want.trace.lines(), seed
 
 
 def check_message_routing(net):
@@ -1248,7 +1313,7 @@ def test_aggregate_matches_per_actor_sets_at_quiescence():
     net.run_until_quiescent(100)
     support = frozenset(net.aggregate)
     for entry in net.actors.values():
-        assert entry.last_visible == visible(support, interests_of(entry.asserted))
+        assert entry.seen.keys() == visible(support, interests_of(entry.asserted))
     net.check_visibility()
 
 
