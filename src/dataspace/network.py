@@ -24,9 +24,9 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-# delta, interests_of and matches are unused here: the traced benchmark
-# (bench/spans.py) wraps them by this module's name, as it does visible
-# (Index.matching confirms inside patches, so its matches count reads 0)
+# apply_patch, delta, interests_of and matches are unused here: the traced
+# benchmark (bench/spans.py) wraps them by this module's name, as it does
+# visible (Index.matching confirms inside patches, so its matches count reads 0)
 from .patches import (
     Bag,
     Index,
@@ -128,7 +128,7 @@ def _step_nested(tick, child: "Network") -> None:
 class _ActorEntry:
     behaviour: Callable
     state: Any
-    asserted: frozenset = frozenset()
+    asserted: set = field(default_factory=set)  # changed in place by each patch
     # visible assertion -> how many of this actor's interests intersect it
     seen: Bag = field(default_factory=Bag)
     label: str = ""  # the actor's name in trace entries, set by _register
@@ -319,7 +319,8 @@ class Network:
         for a in clamped.added:
             if not (a is WILDCARD or isinstance(a, Record)):
                 raise TypeError(f"bare atom asserted: {a!r}")
-        entry.asserted = apply_patch(entry.asserted, clamped)
+        entry.asserted -= clamped.removed
+        entry.asserted |= clamped.added
         gained, lost = self.aggregate.crossings(clamped.added, clamped.removed)
         self.trace.emit(entry.label, "patch-out", encoded)
         support, interests, actors = self.support, self.interests, self.actors

@@ -78,9 +78,8 @@ def seq_patches(p1: Patch, p2: Patch) -> Patch:
     )
 
 
-def clamp_patch(p: Patch, current: frozenset) -> Patch:
+def clamp_patch(p: Patch, current: set | frozenset) -> Patch:
     """Drop re-assertions and retractions of the absent, relative to current."""
-    current = frozenset(current)
     return Patch(p.added - current, p.removed & current)
 
 
@@ -126,16 +125,16 @@ def observed(s: Iterable):
     """The pattern of each observe assertion in s, one observe unwrapped.
 
     One pattern per assertion: a bare 1 and #t observed side by side stay two
-    interests, where the set :func:`interests_of` returns would merge them.
+    interests, as they do in the tuple :func:`interests_of` returns.
     """
     for a in s:
         if isinstance(a, Record) and a.label is OBSERVE and len(a.fields) == 1:
             yield a.fields[0]
 
 
-def interests_of(s: Iterable) -> frozenset:
-    """Patterns this assertion set expresses interest in (one observe unwrapped)."""
-    return frozenset(observed(s))
+def interests_of(s: Iterable) -> tuple:
+    """Patterns s expresses interest in (one observe unwrapped); 1 and #t stay two."""
+    return tuple(observed(s))
 
 
 def visible(aggregate: Iterable, interests: Iterable) -> frozenset:

@@ -7,12 +7,12 @@ watcher for a reserved completion assertion, the fresh actor hosts the
 facets, and the termination clause's result values travel back through the
 dataspace.  A reactive actor therefore holds one state at a time, in its own
 fields: a script's watcher, whose completion resumes the script, or a hosted
-state, whose completion asserts the result and quits the host.  The facets of
-that state claim their assertions in one bag (:class:`patches.Bag`), the mux:
-only an assertion's first claim and last release reach the network, so facets
-that claim the same assertion never interfere, and leaving the state releases
-the whole mux.  Each triggering value is matched against a clause once; the
-body's bindings are the captures of that unified value.
+state, whose completion asserts the result and quits the host.  That state
+asserts one set, its subscriptions and each ``Assert`` facet's current value,
+worked out whole at every change and patched by difference: facets that claim
+the same assertion never interfere, and leaving the state retracts it all.
+Each triggering value is matched against a clause once; the body's bindings
+are the captures of that unified value.
 
 A compiled state holds what its clauses decide once: the ``observe`` record
 of each clause's subscription, which installing the state claims as it is,
@@ -36,7 +36,7 @@ from .network import (
     QUIT,
     SpawnAction,
 )
-from .patches import Bag, Patch
+from .patches import Patch
 from .values import (
     WILDCARD,
     Record,
@@ -147,14 +147,14 @@ class StateSpec:
     """Compiled state: collected bindings, facets, termination clauses.
 
     ``subs`` holds the ``observe`` record of each facet's and termination
-    clause's subscription (rising edges have none), claimed at install.
+    clause's subscription (rising edges have none), claimed while it lives.
     """
 
     collect: tuple
     asserts: tuple
     ons: tuple
     whens: tuple
-    subs: tuple
+    subs: frozenset
 
 
 def _contains_reserved(p) -> bool:
@@ -222,7 +222,7 @@ def state(*, collect=(), facets=(), stop=()) -> StateSpec:
         else:
             raise TypeError(f"not a facet: {f!r}")
     whens = tuple(_compile_clause(w.spec, w.body, n, "termination body") for w in stop)
-    subs = tuple(observe(c.subscription) for c in (*ons, *whens) if c.kind != "rising-edge")
+    subs = frozenset(observe(c.subscription) for c in (*ons, *whens) if c.kind != "rising-edge")
     return StateSpec(collect, tuple(asserts), tuple(ons), whens, subs)
 
 
@@ -271,8 +271,7 @@ class ReactiveState:
         self._gen = None
         self._spec: Optional[StateSpec] = None  # the installed state, if any
         self._collected: tuple = ()  # its collected values
-        self._asserting: list = []  # the current value of each Assert facet
-        self._mux = Bag()
+        self._claimed: frozenset = frozenset()  # what its state asserts
         self._pending: Optional[list] = None
         self._fresh_sid: Optional[Callable] = None
         self.ctx = ActorContext(self)
@@ -284,10 +283,11 @@ class ReactiveState:
             raise RuntimeError("actor effect requested outside an actor step")
         self._pending.append(action)
 
-    def _change_mux(self, added=(), removed=()) -> None:
-        gained, lost = self._mux.crossings(added, removed)
-        if gained or lost:
-            self._buffer(PatchAction(Patch(gained, lost)))
+    def _claim(self, now: frozenset) -> None:
+        was = self._claimed
+        if now != was:
+            self._buffer(PatchAction(Patch(now - was, was - now)))
+            self._claimed = now
 
     def collect_actions(self, thunk: Callable[[], None]) -> list:
         """Run thunk with an action buffer installed; return what it emitted."""
@@ -332,7 +332,7 @@ class ReactiveState:
         sid = self._fresh_sid()
         sub = rec(RESERVED_LABEL, sid, WILDCARD)  # (state-result sid $payload)
         watcher = _Clause("asserted", sub, _PAYLOAD, body=_payload)
-        self.install_group(StateSpec((), (), (), (watcher,), (observe(sub),)))
+        self.install_group(StateSpec((), (), (), (watcher,), frozenset({observe(sub)})))
         self._buffer(_spawn(ReactiveState(None, _initial=(spec, sid))))
 
     def _resume_script(self, raw) -> None:
@@ -365,18 +365,14 @@ class ReactiveState:
             raise RuntimeError("a reactive actor holds one state at a time")
         self._spec = spec
         self._collected = tuple(init for _, init in spec.collect)
-        self._asserting = [f.template(*self._collected) for f in spec.asserts]
-        self._change_mux((*spec.subs, *self._asserting))
+        self._refresh_asserts()
         self._check_stop(None)
 
     def teardown_group(self) -> None:
-        """Release the whole mux, retracting what nobody else holds.
-
-        Only install, teardown and the Assert refresh claim the mux (a host's
-        result is a direct patch), so it holds exactly the state's claims.
-        """
+        """Retract what the state asserts: its subscriptions and its Assert
+        facets' current values, not a host's result, which is patched apart."""
         self._spec = None
-        self._change_mux((), list(self._mux.elements()))
+        self._claim(frozenset())
 
     # -- event handling ------------------------------------------------------------
 
@@ -405,10 +401,8 @@ class ReactiveState:
         return tuple(result)
 
     def _refresh_asserts(self) -> None:
-        new = [f.template(*self._collected) for f in self._spec.asserts]
-        if new != self._asserting:
-            self._change_mux(new, self._asserting)
-            self._asserting = new
+        spec = self._spec
+        self._claim(spec.subs.union([f.template(*self._collected) for f in spec.asserts]))
 
     def _check_stop(self, event) -> None:
         # A rising edge needs no memory of the last check: it is only ever a

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -1094,9 +1095,9 @@ class BruteForceNetwork(Network):
     After each patch every actor's visible set is recomputed from the
     support and its interests, and each change is queued in aid order; a
     message goes to every actor with an interest that matches it.  Interests
-    are read with ``observed``, not ``interests_of``, whose frozenset would
-    merge 1 and #t.  It shares with Network the dispatcher, the actor table
-    and the trace, not the indexes, the bags or the fan-out.
+    are read with ``observed``, one per observe assertion, so 1 and #t stay
+    two.  It shares with Network the dispatcher, the actor table and the
+    trace, not the indexes, the bags or the fan-out.
     """
 
     def __init__(self, **kw):
@@ -1407,6 +1408,38 @@ def test_routing_work_does_not_grow_with_observers():
         for seed in ("0", "1")
     ]
     assert outs[0] == outs[1]
+
+
+def patch_peak(m: int) -> int:
+    """Peak bytes allocated by a publisher holding m assertions replacing one.
+
+    One watcher sees the replacement; each patch is interpreted and run to
+    quiescence.  The least of three patches is kept, so a hash table that
+    one insertion happens to resize does not count.
+    """
+    net = new_network()
+    net.spawn(lambda e, s: None, None, [PatchAction(Patch({observe(rec("held", WILDCARD))}, ()))])
+    held = {rec("held", i) for i in range(m)}
+    publisher = net.spawn(lambda e, s: None, None, [PatchAction(Patch(held, ()))])
+    net.run_until_quiescent(10)
+    peaks = []
+    for i in range(3):
+        patch = Patch({rec("held", m + i)}, {rec("held", i)})
+        tracemalloc.start()
+        try:
+            net.interpret_action(publisher, PatchAction(patch))
+            net.run_until_quiescent(10)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return min(peaks)
+
+
+def test_a_patch_allocates_no_more_when_its_patcher_holds_more():
+    # a patch must not copy what its patcher already asserts: from 100 to
+    # 20,000 held assertions its peak allocation stays about the same
+    small, big = patch_peak(100), patch_peak(20_000)
+    assert big < 2 * small, (small, big)
 
 
 def test_a_settled_interest_is_routed_without_confirming(monkeypatch):

@@ -1,6 +1,8 @@
 import gc
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from dataspace import reactive, values
 from dataspace import (
@@ -14,6 +16,7 @@ from dataspace import (
     On,
     Patch,
     PatchAction,
+    PatchEvent,
     QUIT,
     ReactiveState,
     Retracted,
@@ -158,7 +161,7 @@ def test_state_returns_multiple_values():
     assert seen == [(41, 42)]
 
 
-def test_mux_two_facets_same_assertion_do_not_interfere():
+def test_two_facets_claiming_one_assertion_do_not_interfere():
     # two facets of one state claim one assertion: the first claim asserts
     # it, and it is retracted only when the last holder lets go
     shared = rec("shared", 1)
@@ -180,9 +183,9 @@ def test_mux_two_facets_same_assertion_do_not_interfere():
     assert down == [PatchAction(Patch((), {shared, rec("moved", 1), observe(move)}))]
 
 
-def test_teardown_releases_every_live_claim_and_empties_the_mux():
+def test_teardown_retracts_every_live_claim_and_empties_the_claims():
     # two Assert facets change value across three events; at the end one of
-    # them equals the subscription, so the mux counts that assertion twice
+    # them equals the subscription, which the state still asserts once
     ping = Sym("ping")
     watched = observe(ping)
     rt = ReactiveState(None)
@@ -199,11 +202,74 @@ def test_teardown_releases_every_live_claim_and_empties_the_mux():
     assert installed == [PatchAction(Patch(up, ()))]
     for _ in range(3):
         rt.collect_actions(lambda: rt._deliver(MessageEvent(ping)))
-    assert rt._mux == {watched: 2, rec("count", 3): 1}
-    live = set(rt._mux)
+    assert rt._claimed == {watched, rec("count", 3)}
+    live = set(rt._claimed)
     assert rt.collect_actions(rt.teardown_group) == [PatchAction(Patch((), live))]
-    assert not rt._mux
+    assert not rt._claimed
     assert rt.collect_actions(lambda: rt.install_group(spec)) == installed
+
+
+_CLAIM_POOL = (
+    rec("a", 0),
+    rec("a", 1),
+    observe(Sym("p")),
+    observe(Sym("q")),
+    observe(rec("a", WILDCARD)),
+)
+_TRIGGERS = {"p": Message(Sym("p")), "q": Message(Sym("q")), "a": Asserted(rec("a", WILDCARD))}
+_EVENTS = (
+    MessageEvent(Sym("p")),
+    MessageEvent(Sym("q")),
+    PatchEvent(Patch({rec("a", 0)}, ())),
+    PatchEvent(Patch({rec("a", 0), rec("a", 1)}, ())),
+    PatchEvent(Patch((), {rec("a", 1)})),
+)
+
+
+@given(
+    # each Assert facet asserts values[n % len(values)], values drawn from a
+    # pool that holds every subscription, so claims overlap one another
+    st.lists(st.lists(st.sampled_from(_CLAIM_POOL), min_size=1, max_size=3), max_size=4),
+    # each On facet adds step to n once per trigger
+    st.lists(st.tuples(st.sampled_from(sorted(_TRIGGERS)), st.integers(0, 2)), max_size=3),
+    st.lists(st.sampled_from(_EVENTS), max_size=8),
+)
+def test_a_states_patches_keep_exactly_its_subscriptions_and_assert_values(
+    templates, ons, events
+):
+    rt = ReactiveState(None)
+    spec = forever(
+        collect=[("n", 0)],
+        facets=[
+            *(Assert(lambda n, vs=tuple(vs): vs[n % len(vs)]) for vs in templates),
+            *(On(_TRIGGERS[t], lambda ctx, n, k=k: n + k) for t, k in ons),
+        ],
+    )
+    subs = {observe(_TRIGGERS[t].pattern) for t, _ in ons}
+    held: set = set()
+
+    def apply(actions):
+        assert len(actions) <= 1  # one patch per step, and nothing else
+        for action in actions:
+            patch = action.patch
+            assert patch.added.isdisjoint(held) and patch.removed <= held  # net change
+            held.difference_update(patch.removed)
+            held.update(patch.added)
+
+    n = 0
+    apply(rt.collect_actions(lambda: rt.install_group(spec)))
+    assert held == subs | {vs[n % len(vs)] for vs in templates}
+    for event in events:
+        for t, k in ons:
+            if t == "a":
+                triggers = len(event.patch.added) if isinstance(event, PatchEvent) else 0
+            else:
+                triggers = event == MessageEvent(Sym(t))
+            n += k * triggers
+        apply(rt.collect_actions(lambda: rt._deliver(event)))
+        assert held == subs | {vs[n % len(vs)] for vs in templates}
+    apply(rt.collect_actions(rt.teardown_group))
+    assert held == set()
 
 
 def test_teardown_of_facetless_group_emits_no_patch():
@@ -221,7 +287,7 @@ def test_a_second_state_is_refused():
         rt.collect_actions(lambda: rt.install_group(spec))
 
 
-def test_mux_subscription_overlaps_assert_facet():
+def test_a_subscription_an_assert_facet_also_claims_is_asserted_once():
     # an Assert facet claims the observe assertion an On facet subscribes with
     ping = Sym("ping")
     watched = observe(ping)
