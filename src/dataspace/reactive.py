@@ -12,7 +12,8 @@ asserts one set, its subscriptions and each ``Assert`` facet's current value,
 worked out whole at every change and patched by difference: facets that claim
 the same assertion never interfere, and leaving the state retracts it all.
 Each triggering value is matched against a clause once; the body's bindings
-are the captures of that unified value.
+are the captures of that unified value.  An actor's context buffers its step's
+actions and holds no reference back, so reference counting frees a quit actor.
 
 A compiled state holds what its clauses decide once: the ``observe`` record
 of each clause's subscription, which installing the state claims as it is,
@@ -144,7 +145,7 @@ class _Clause:
 
 @dataclass(frozen=True)
 class StateSpec:
-    """Compiled state: collected bindings, facets, termination clauses.
+    """Compiled state: initial collected values, facets, termination clauses.
 
     ``subs`` holds the ``observe`` record of each facet's and termination
     clause's subscription (rising edges have none), claimed while it lives.
@@ -206,7 +207,7 @@ def _compile_clause(spec, body, n: int, what: str) -> _Clause:
 
 def state(*, collect=(), facets=(), stop=()) -> StateSpec:
     """A blocking state: facets stay active until a stop clause fires."""
-    collect = tuple((str(name), init) for name, init in collect)
+    collect = tuple(init for _, init in collect)
     n = len(collect)
     asserts = []
     ons = []
@@ -240,26 +241,32 @@ def forever(*, collect=(), facets=()) -> StateSpec:
 
 
 class ActorContext:
-    """Imperative surface handed to scripts and facet bodies."""
+    """Imperative surface handed to scripts and facet bodies; it buffers the
+    actions of its actor's step in progress and holds no reference to the actor."""
 
-    def __init__(self, runtime: "ReactiveState"):
-        self._runtime = runtime
+    def __init__(self):
+        self._pending: Optional[list] = None
+
+    def _buffer(self, action) -> None:
+        if self._pending is None:
+            raise RuntimeError("actor effect requested outside an actor step")
+        self._pending.append(action)
 
     def send(self, value) -> None:
         """Send a message as a side effect."""
-        self._runtime._buffer(MessageAction(value))
+        self._buffer(MessageAction(value))
 
     def display(self, value) -> None:
         """Record console-style output as an event-message trace entry."""
-        self._runtime._buffer(OutputAction(value))
+        self._buffer(OutputAction(value))
 
     def actor(self, script) -> None:
         """Spawn a sibling actor running the given script."""
-        self._runtime._buffer(_spawn(ReactiveState(script)))
+        self._buffer(_spawn(ReactiveState(script)))
 
     def detach(self, spec: StateSpec) -> None:
         """Run a state in an independent child actor without waiting for it."""
-        self._runtime._buffer(_spawn(ReactiveState(None, _initial=(spec, None))))
+        self._buffer(_spawn(ReactiveState(None, _initial=(spec, None))))
 
 
 class ReactiveState:
@@ -272,32 +279,25 @@ class ReactiveState:
         self._spec: Optional[StateSpec] = None  # the installed state, if any
         self._collected: tuple = ()  # its collected values
         self._claimed: frozenset = frozenset()  # what its state asserts
-        self._pending: Optional[list] = None
         self._fresh_sid: Optional[Callable] = None
-        self.ctx = ActorContext(self)
+        self.ctx = ActorContext()
 
     # -- plumbing -------------------------------------------------------------
-
-    def _buffer(self, action) -> None:
-        if self._pending is None:
-            raise RuntimeError("actor effect requested outside an actor step")
-        self._pending.append(action)
 
     def _claim(self, now: frozenset) -> None:
         was = self._claimed
         if now != was:
-            self._buffer(PatchAction(Patch(now - was, was - now)))
+            self.ctx._buffer(PatchAction(Patch(now - was, was - now)))
             self._claimed = now
 
     def collect_actions(self, thunk: Callable[[], None]) -> list:
-        """Run thunk with an action buffer installed; return what it emitted."""
-        prev = self._pending
-        self._pending = []
+        """Run thunk with a fresh action buffer installed; return what it emitted."""
+        self.ctx._pending = actions = []  # no step nests: a spawn runs after its parent's
         try:
             thunk()
-            return self._pending
+            return actions
         finally:
-            self._pending = prev
+            self.ctx._pending = None
 
     def on_spawn(self, fresh_id) -> list:
         self._fresh_sid = fresh_id
@@ -313,7 +313,7 @@ class ReactiveState:
                 self._gen = out
                 self._advance(None)
                 return
-        self._buffer(QUIT)
+        self.ctx._buffer(QUIT)
 
     # -- script execution -------------------------------------------------------
 
@@ -322,7 +322,7 @@ class ReactiveState:
             spec = self._gen.send(send_value)
         except StopIteration:
             self._gen = None
-            self._buffer(QUIT)
+            self.ctx._buffer(QUIT)
             return
         if not isinstance(spec, StateSpec):
             raise TypeError(f"script yielded {spec!r}; expected a state spec")
@@ -333,7 +333,7 @@ class ReactiveState:
         sub = rec(RESERVED_LABEL, sid, WILDCARD)  # (state-result sid $payload)
         watcher = _Clause("asserted", sub, _PAYLOAD, body=_payload)
         self.install_group(StateSpec((), (), (), (watcher,), frozenset({observe(sub)})))
-        self._buffer(_spawn(ReactiveState(None, _initial=(spec, sid))))
+        self.ctx._buffer(_spawn(ReactiveState(None, _initial=(spec, sid))))
 
     def _resume_script(self, raw) -> None:
         values = raw.fields  # raw is the ground values record
@@ -349,8 +349,8 @@ class ReactiveState:
         sid = self._initial[1]
         if sid is not None:
             result = rec(RESERVED_LABEL, sid, _pack_values(raw))
-            self._buffer(PatchAction(Patch({result}, ())))
-        self._buffer(QUIT)
+            self.ctx._buffer(PatchAction(Patch({result}, ())))
+        self.ctx._buffer(QUIT)
 
     # -- state lifecycle ----------------------------------------------------------
 
@@ -364,7 +364,7 @@ class ReactiveState:
         if self._spec is not None:
             raise RuntimeError("a reactive actor holds one state at a time")
         self._spec = spec
-        self._collected = tuple(init for _, init in spec.collect)
+        self._collected = spec.collect
         self._refresh_asserts()
         self._check_stop(None)
 
@@ -383,8 +383,8 @@ class ReactiveState:
                 bound = captures(c.binders, unified) if c.binders else ()
                 result = c.body(self.ctx, *self._collected, *bound)
                 self._collected = self._fold(result)
-        # 2. assert facets re-evaluate against the new collected tuple
-        self._refresh_asserts()
+        if self._spec.asserts:  # 2. assert facets re-evaluate on the new collected tuple
+            self._refresh_asserts()
         # 3. termination clauses, declaration order, first satisfied fires
         self._check_stop(event)
 

@@ -402,6 +402,19 @@ def project_assertions(assertions: Iterable, proj) -> list:
     return [out[k] for k in sorted(out)]
 
 
+def _extraction(p, names: list):
+    if isinstance(p, Bind):
+        if p.name in names:
+            raise DuplicateBinder(p.name)
+        names.append(p.name)
+        return Capture(WILDCARD)
+    if isinstance(p, Record):
+        return Record(p.label, tuple(_extraction(f, names) for f in p.fields))
+    if not is_pattern(p):  # else erasure turns a written capture into a wildcard
+        raise TypeError(f"not a pattern: {p!r}")
+    return p
+
+
 def compile_surface(sp):
     """Split a surface pattern into (subscription, extraction, binder names).
 
@@ -410,20 +423,7 @@ def compile_surface(sp):
     other leaf failing ``is_pattern`` (a capture hole, 1.5) is a TypeError.
     """
     names: list[str] = []
-
-    def walk(p):
-        if isinstance(p, Bind):
-            if p.name in names:
-                raise DuplicateBinder(p.name)
-            names.append(p.name)
-            return Capture(WILDCARD)
-        if isinstance(p, Record):
-            return Record(p.label, tuple(walk(f) for f in p.fields))
-        if not is_pattern(p):  # else erasure turns a written capture into a wildcard
-            raise TypeError(f"not a pattern: {p!r}")
-        return p
-
-    extraction = walk(sp)
+    extraction = _extraction(sp, names)
     return erase(extraction), extraction, tuple(names)
 
 

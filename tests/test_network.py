@@ -978,14 +978,15 @@ def test_equal_interests_of_different_types_are_confirmed_per_holder():
 
 # what the random programs observe and send: every kind of slot and bucket
 # the routing index files a pattern under, settled and not, and 1 beside #t;
-# bare atoms are observed and sent but not asserted, since asserting one
-# crashes the actor
+# two ground messages share each unsettled key, so that a list kept for one
+# would be wrong for the other; bare atoms are observed and sent but not
+# asserted, since asserting one crashes the actor
 ROUTED = (
     WILDCARD, 0, 1, True, "s", Sym("s"),
     rec("z"), rec("a", 1), rec("a", True), rec("a", WILDCARD), rec("a", rec("z")),
     rec("r", rec("a", 1), 2), rec("r", rec("a", WILDCARD), WILDCARD), rec("r", WILDCARD, 2),
     rec("r", 1, WILDCARD), rec("r", True, WILDCARD), rec("r", WILDCARD, WILDCARD), rec("r", 1, 2),
-    rec("r", WILDCARD, 3),
+    rec("r", WILDCARD, 3), rec("r", 1, 3), rec("r", rec("a", 1), 3),
     observe(rec("a", WILDCARD)),
 )  # fmt: skip
 INTERESTS = tuple(observe(p) for p in ROUTED) + (observe(observe(WILDCARD)),)

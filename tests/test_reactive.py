@@ -1,4 +1,5 @@
 import gc
+import weakref
 
 import hypothesis.strategies as st
 import pytest
@@ -823,3 +824,39 @@ def test_entering_a_state_again_files_a_fixed_count_and_none_of_its_observes(mon
     # entry files the same count, whatever the number of entries
     assert all(counts[n] == counts[16][:n] for n in (1, 4))
     assert len(set(counts[16][2:])) == 1
+
+
+def test_compiling_a_state_leaves_no_cyclic_garbage():
+    # each file-system observer compiles an until per file: a compile that
+    # built a reference cycle would leave its garbage to the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            until(Message(rec("save", Bind("x"))))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_quit_reactive_actor_is_freed_without_the_cyclic_collector():
+    def script(ctx):
+        yield until(Message(rec("go")))
+
+    net = new_network()
+    kicker = net.spawn(lambda e, s: None, None)
+    gc.collect()
+    gc.disable()
+    try:
+        aid = reactive_actor(net, script)
+        net.run_until_quiescent(100)
+        (host,) = set(net.actors) - {kicker, aid}
+        script_state = weakref.ref(net.actors[aid].state)
+        host_state = weakref.ref(net.actors[host].state)
+        net.interpret_action(kicker, MessageAction(rec("go")))
+        net.run_until_quiescent(100)
+        assert set(net.actors) == {kicker}  # the host quit and the script ended
+        assert host_state() is None
+        assert script_state() is None
+    finally:
+        gc.enable()
