@@ -24,10 +24,10 @@ from .network import (
 )
 from .patches import (
     EMPTY_PATCH,
-    Bag,
     Patch,
     apply_patch,
     clamp_patch,
+    crossings,
     delta,
     interests_of,
     seq_patches,

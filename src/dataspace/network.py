@@ -5,10 +5,11 @@ result; a nested network is one that dispatches one of its own events per
 tick.  All shared-state changes flow through patches.  The network files every
 interest and every supported assertion in an index, so a patch or message
 reaches only the actors whose interests intersect what changed; each actor
-keeps a bag counting, per visible assertion, how many of its interests
-intersect it, and :meth:`Network._apply_actor_patch` decides what each
-receiver of a patch is told.  A message goes to the holders the interests
-index returns, sorted (:meth:`Index.holders`).
+keeps a bag, a plain dict, counting per visible assertion how many of its
+interests intersect it.  :meth:`Network._apply_actor_patch` admits a patch
+and :meth:`Network._fan_out` decides what each of its receivers is told.  A
+message goes to the holders the interests index returns, sorted
+(:meth:`Index.holders`).
 ``check_visibility`` recounts all of this from scratch as a test oracle.
 Scheduling is a single FIFO of (actor, event) pairs, so
 identical programs produce identical traces: a fan-out joins it in one
@@ -28,11 +29,11 @@ from typing import Any, Callable, Optional
 # benchmark (bench/spans.py) wraps them by this module's name, as it does
 # visible (Index.matching confirms inside patches, so its matches count reads 0)
 from .patches import (
-    Bag,
     Index,
     Patch,
     apply_patch,
     clamp_patch,
+    crossings,
     delta,
     interests_of,
     observed,
@@ -130,7 +131,7 @@ class _ActorEntry:
     state: Any
     asserted: set = field(default_factory=set)  # changed in place by each patch
     # visible assertion -> how many of this actor's interests intersect it
-    seen: Bag = field(default_factory=Bag)
+    seen: dict = field(default_factory=dict)
     label: str = ""  # the actor's name in trace entries, set by _register
 
 
@@ -154,7 +155,7 @@ class Network:
     def __init__(self, *, _path=(), _parent=None):
         self.path: tuple[int, ...] = _path
         self.actors: dict[tuple[int, ...], _ActorEntry] = {}
-        self.aggregate: Bag = Bag()
+        self.aggregate: dict = {}  # assertion -> how many actors assert it
         self.support = Index()  # the aggregate's support
         self.interests = Index()  # every actor's interests, filed under its aid
         self.queue: deque = deque()
@@ -196,7 +197,7 @@ class Network:
     def spawn_nested(self) -> "Network":
         """Create a network actor, stepped by _step_nested, with a private dataspace."""
         entry = _ActorEntry(behaviour=_step_nested, state=None)
-        entry.state = Network(_path=self._register(entry), _parent=self)
+        entry.state = type(self)(_path=self._register(entry), _parent=self)
         return entry.state
 
     def _register(self, entry: _ActorEntry) -> tuple[int, ...]:
@@ -282,28 +283,7 @@ class Network:
             raise TypeError(f"unknown action: {action!r}")
 
     def _apply_actor_patch(self, aid, patch: Patch) -> None:
-        """Apply an actor's patch and fan the change out to its receivers.
-
-        The aggregate bag takes the claims and releases in one walk
-        (:meth:`Bag.crossings`); the support delta it returns, and the
-        patcher's interest delta (the observe assertions of its clamped
-        patch), go into the support and interests indexes in four steps.  An
-        actor's seen bag counts, per assertion, its interests that intersect
-        it, so each (assertion, interest) pair that appears claims one copy
-        and each that vanishes releases one; both lookups are exact, so
-        nothing is confirmed here.  Gained support was seen by no receiver
-        and lost support is seen by none after, so a receiver's pairs are
-        plain dict updates (releasing what it does not hold raises KeyError,
-        as ``crossings`` would) and its change is the delta assertions that
-        reached it.  Only the patcher's own bag, whose interest delta may
-        claim or release what it already sees, goes through ``crossings``.
-        Receivers reached by the same assertions build their change once,
-        and receivers whose change is equal share one PatchEvent, so one
-        Patch is built per distinct change and, through the patch's cached
-        trace form, one patch-in ``data`` object.  A change equal to the
-        clamped patch itself gets that patch, so its patch-ins share the
-        patch-out's form and no second Patch is built.
-        """
+        """Clamp, check and trace an actor's patch, then :meth:`_fan_out` it."""
         entry = self.actors[aid]
         clamped = clamp_patch(patch, entry.asserted)
         if clamped.is_empty():
@@ -321,8 +301,33 @@ class Network:
                 raise TypeError(f"bare atom asserted: {a!r}")
         entry.asserted -= clamped.removed
         entry.asserted |= clamped.added
-        gained, lost = self.aggregate.crossings(clamped.added, clamped.removed)
         self.trace.emit(entry.label, "patch-out", encoded)
+        self._fan_out(aid, clamped)
+
+    def _fan_out(self, aid, clamped: Patch) -> None:
+        """Queue for each receiver of aid's clamped patch what it is told.
+
+        The aggregate bag takes the claims and releases in one walk
+        (:func:`crossings`); the support delta it returns, and the patcher's
+        interest delta (the observe assertions of its clamped patch), go
+        into the support and interests indexes in four steps.  An actor's
+        seen bag counts, per assertion, its interests that intersect it, so
+        each (assertion, interest) pair that appears claims one copy and
+        each that vanishes releases one; both lookups are exact, so nothing
+        is confirmed here.  Gained support was seen by no receiver and lost
+        support is seen by none after, so a receiver's pairs are plain dict
+        updates (releasing what it does not hold raises KeyError, as
+        ``crossings`` would) and its change is the delta assertions that
+        reached it.  Only the patcher's own bag, whose interest delta may
+        claim or release what it already sees, goes through ``crossings``.
+        Receivers reached by the same assertions build their change once,
+        and receivers whose change is equal share one PatchEvent, so one
+        Patch is built per distinct change and, through the patch's cached
+        trace form, one patch-in ``data`` object.  A change equal to the
+        clamped patch itself gets that patch, so its patch-ins share the
+        patch-out's form and no second Patch is built.
+        """
+        gained, lost = crossings(self.aggregate, clamped.added, clamped.removed)
         support, interests, actors = self.support, self.interests, self.actors
         # a receiver -> the delta assertions that reached it, one per pair;
         # the patcher -> its (gained, lost)
@@ -357,7 +362,7 @@ class Network:
             interests.add(p, aid)
             claims.extend(a for _, a in support.matching(p))
         if claims or releases:
-            mine = entry.seen.crossings(claims, releases)
+            mine = crossings(actors[aid].seen, claims, releases)
             if mine[0] or mine[1]:
                 reached[aid] = mine
         # (gained, lost) -> the one event for it; frozenset keys, as equal
@@ -485,10 +490,9 @@ class Network:
                 f"aggregate drift at {self._label(self.path)}: "
                 f"{dict(self.aggregate)} != {dict(recount)}"
             )
-        support = frozenset(self.aggregate)
         for bid, entry in self.actors.items():
             interests = tuple(observed(entry.asserted))
-            expect = visible(support, interests)
+            expect = visible(self.aggregate, interests)
             if expect != entry.seen.keys():
                 raise VisibilityMismatch(
                     f"visible-set drift at {self._label(bid)}: "

@@ -1,30 +1,30 @@
 """Assertion sets and the patch algebra.
 
 A patch is a disjoint (added, removed) pair of assertion sets: the sole
-mechanism for changing shared state.  A bag counts how many holders claim
-each assertion; only its support is ever seen.  An index files patterns so
-that a lookup returns exactly those that intersect a query, confirming with
-``intersect`` only the pairs its keys do not decide, and answers which
-holders a query reaches, keeping those answers as :class:`Index` says.
+mechanism for changing shared state.  A bag is a plain dict counting how
+many holders claim each assertion; :func:`crossings` changes it, and only
+its support is ever seen.  An index files patterns so that a lookup returns
+exactly those that intersect a query, confirming with ``intersect`` only the
+pairs its keys do not decide, and answers which holders a query reaches,
+keeping those answers as :class:`Index` says.
 ``visible`` recounts an actor's visible set from scratch; the network's
 oracle compares it with what the indexes delivered.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from .values import OBSERVE, WILDCARD, Record, intersect
 
 __all__ = [
-    "Bag",
     "EMPTY_PATCH",
     "Index",
     "Patch",
     "apply_patch",
     "clamp_patch",
+    "crossings",
     "delta",
     "interests_of",
     "observed",
@@ -83,42 +83,37 @@ def clamp_patch(p: Patch, current: set | frozenset) -> Patch:
     return Patch(p.added - current, p.removed & current)
 
 
-class Bag(Counter):
-    """A multiset of assertions whose support is what its holders' peers see.
+def crossings(bag: dict, added=(), removed=()) -> tuple[frozenset, frozenset]:
+    """Claim one copy of each of added in bag, then release one of each of removed.
 
-    Several holders may claim the same assertion; only the crossings of its
-    count between 0 and 1 change the support.
+    A bag maps each assertion to how many holders claim it; only the
+    crossings of a count between 0 and 1 change its support, which is what
+    the holders' peers see.  Returns the net change in support as (gained,
+    lost), an empty side as one shared empty frozenset.  Raises KeyError
+    when a count would go below zero, leaving the changes before it in place.
     """
-
-    def crossings(self, added=(), removed=()) -> tuple[frozenset, frozenset]:
-        """Claim one copy of each of added, then release one of each of removed.
-
-        Returns the net change in support as (gained, lost), an empty side as
-        one shared empty frozenset.  Raises KeyError when a count would go
-        below zero, leaving the changes before it in place.
-        """
-        gained, lost = set(), set()
-        for a in added:
-            n = self.get(a, 0)
-            if not n:
-                gained.add(a)
-            self[a] = n + 1
-        for a in removed:
-            n = self.get(a, 0) - 1
-            if n > 0:
-                self[a] = n
-            elif n == 0:
-                dict.__delitem__(self, a)  # Counter.__delitem__ is Python code
-                if a in gained:
-                    gained.remove(a)  # claimed and released within this call
-                else:
-                    lost.add(a)
+    gained, lost = set(), set()
+    for a in added:
+        n = bag.get(a, 0)
+        if not n:
+            gained.add(a)
+        bag[a] = n + 1
+    for a in removed:
+        n = bag.get(a, 0) - 1
+        if n > 0:
+            bag[a] = n
+        elif n == 0:
+            del bag[a]
+            if a in gained:
+                gained.remove(a)  # claimed and released within this call
             else:
-                raise KeyError(a)
-        return (
-            frozenset(gained) if gained else _EMPTY,
-            frozenset(lost) if lost else _EMPTY,
-        )
+                lost.add(a)
+        else:
+            raise KeyError(a)
+    return (
+        frozenset(gained) if gained else _EMPTY,
+        frozenset(lost) if lost else _EMPTY,
+    )
 
 
 def observed(s: Iterable):

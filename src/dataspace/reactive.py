@@ -191,9 +191,9 @@ def _compile_clause(spec, body, n: int, what: str) -> _Clause:
         if body is not None:
             _check_arity(body, 1 + n, what)
         return _Clause("rising-edge", predicate=spec.predicate, body=body)
-    kind = {Message: "message", Asserted: "asserted", Retracted: "retracted"}[
-        type(spec)
-    ]
+    kind = {Message: "message", Asserted: "asserted", Retracted: "retracted"}.get(type(spec))
+    if kind is None:
+        raise TypeError(f"not an event: {spec!r}")
     subscription, extraction, names = compile_surface(spec.pattern)
     # encoded now, a subscription with no canonical text ("'x", "_", a ?!
     # label) fails where the script builds the state, not later in its host
@@ -218,10 +218,12 @@ def state(*, collect=(), facets=(), stop=()) -> StateSpec:
         elif isinstance(f, On):
             if isinstance(f.spec, RisingEdge):
                 raise TypeError("rising-edge events only trigger termination clauses")
-            what = "on({kind}) body"
-            ons.append(_compile_clause(f.spec, f.body, n, what))
+            ons.append(_compile_clause(f.spec, f.body, n, "on({kind}) body"))
         else:
             raise TypeError(f"not a facet: {f!r}")
+    for w in stop:
+        if not isinstance(w, When):
+            raise TypeError(f"not a stop clause: {w!r}")
     whens = tuple(_compile_clause(w.spec, w.body, n, "termination body") for w in stop)
     subs = frozenset(observe(c.subscription) for c in (*ons, *whens) if c.kind != "rising-edge")
     return StateSpec(collect, tuple(asserts), tuple(ons), whens, subs)
@@ -262,10 +264,14 @@ class ActorContext:
 
     def actor(self, script) -> None:
         """Spawn a sibling actor running the given script."""
+        if not callable(script):
+            raise TypeError(f"not a script: {script!r}")
         self._buffer(_spawn(ReactiveState(script)))
 
     def detach(self, spec: StateSpec) -> None:
         """Run a state in an independent child actor without waiting for it."""
+        if not isinstance(spec, StateSpec):
+            raise TypeError(f"not a state spec: {spec!r}")
         self._buffer(_spawn(ReactiveState(None, _initial=(spec, None))))
 
 
@@ -334,15 +340,6 @@ class ReactiveState:
         watcher = _Clause("asserted", sub, _PAYLOAD, body=_payload)
         self.install_group(StateSpec((), (), (), (watcher,), frozenset({observe(sub)})))
         self.ctx._buffer(_spawn(ReactiveState(None, _initial=(spec, sid))))
-
-    def _resume_script(self, raw) -> None:
-        values = raw.fields  # raw is the ground values record
-        if len(values) == 0:
-            self._advance(None)
-        elif len(values) == 1:
-            self._advance(values[0])
-        else:
-            self._advance(tuple(values))
 
     def _complete(self, raw) -> None:
         """Quit a state host, first asserting the result if a script waits on it."""
@@ -423,7 +420,7 @@ class ReactiveState:
     def _fire(self, w: _Clause, bindings: tuple) -> None:
         raw = w.body(self.ctx, *self._collected, *bindings) if w.body else None
         self.teardown_group()
-        (self._resume_script if self._gen is not None else self._complete)(raw)
+        (self._advance if self._gen is not None else self._complete)(raw)
 
 
 def _triggers(c: _Clause, event) -> list:
@@ -446,8 +443,10 @@ _PAYLOAD = ((1,),)  # the payload's position in (state-result sid payload)
 
 
 def _payload(ctx, payload):
-    # a script's watcher: its result is the host's payload
-    return payload
+    # a script's watcher: the script resumes with the host's result values,
+    # None for none and a tuple for several
+    values = payload.fields
+    return values[0] if len(values) == 1 else values or None
 
 
 def _pack_values(raw) -> Record:

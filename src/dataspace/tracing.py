@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .patches import Bag, Patch
+from .patches import Patch, crossings
 from .values import (
     MalformedText,
     from_jsonable,
@@ -107,7 +107,7 @@ def aggregate_snapshots(trace, lens) -> list[frozenset]:
     with added and removed lists.  Raises KeyError when the trace retracts
     something it never asserted.
     """
-    bag = Bag()
+    bag: dict = {}
     snaps = [frozenset()]
     for line in trace:
         with reading_text():
@@ -129,7 +129,7 @@ def aggregate_snapshots(trace, lens) -> list[frozenset]:
                 raise MalformedText(f"patch-out data is not added and removed lists: {line!r:.80}")
             added = [from_jsonable(a) for a in data["added"]]
             removed = [from_jsonable(a) for a in data["removed"]]
-        bag.crossings(added, removed)
+        crossings(bag, added, removed)
         cur = frozenset(a for a in bag if intersect(lens, a) is not None)
         if cur != snaps[-1]:
             snaps.append(cur)

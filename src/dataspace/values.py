@@ -492,9 +492,7 @@ def to_jsonable(p):
 
 def from_jsonable(x):
     """The value or pattern a canonical JSON form stands for."""
-    if isinstance(x, bool):
-        return x
-    if isinstance(x, int):
+    if isinstance(x, int):  # bool included
         return x
     if isinstance(x, str):
         if x == "_":

@@ -11,12 +11,12 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import Phase, given, settings
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from conftest import oracle_lines
 from dataspace import (
     Asserted,
-    Bag,
     Capture,
     Continue,
     MessageAction,
@@ -42,14 +42,15 @@ from dataspace import (
     observe,
     reactive_actor,
     rec,
+    sort_patterns,
     until,
     visible,
 )
 from dataspace import tracing
-from dataspace.network import _TICK, Network, _ActorEntry, _step_nested
-from dataspace.patches import apply_patch, clamp_patch, delta, observed
+from dataspace.network import _TICK, Network, _step_nested
+from dataspace.patches import crossings, delta, observed
 from dataspace.scenarios import build_bank_account_plain
-from dataspace.values import from_jsonable, is_pattern, to_jsonable
+from dataspace.values import from_jsonable, to_jsonable
 
 
 def account(x):
@@ -219,12 +220,12 @@ def test_a_fan_out_builds_as_many_patches_for_one_receiver_as_for_many(monkeypat
 
 
 def test_a_fan_out_walks_as_many_bags_for_one_receiver_as_for_many(monkeypatch):
-    # only the aggregate and the patcher go through Bag.crossings: a
-    # receiver's change is the delta assertions its interests reach
+    # only the aggregate and the patcher go through crossings: a receiver's
+    # change is the delta assertions its interests reach
     walked = []
-    crossings = Bag.crossings
     monkeypatch.setattr(
-        Bag, "crossings", lambda bag, *args: walked.append(bag) or crossings(bag, *args)
+        "dataspace.network.crossings",
+        lambda bag, *args: walked.append(bag) or crossings(bag, *args),
     )
     counts = []
     for n in (1, 4, 32):
@@ -287,7 +288,7 @@ def test_receivers_reached_by_the_same_assertions_share_one_event():
 
 def test_releasing_what_a_receiver_does_not_hold_crashes_the_patcher():
     # a receiver's count goes below zero only if its bag was corrupted; the
-    # patcher crashes on it, as Bag.crossings makes it on its own bag
+    # patcher crashes on it, as crossings makes it on its own bag
     x = rec("x", 1)
 
     def retract_on_message(event, state):
@@ -1097,33 +1098,16 @@ class BruteForceNetwork(Network):
     support and its interests, and each change is queued in aid order; a
     message goes to every actor with an interest that matches it.  Interests
     are read with ``observed``, one per observe assertion, so 1 and #t stay
-    two.  It shares with Network the dispatcher, the actor table and the
-    trace, not the indexes, the bags or the fan-out.
+    two.  It overrides routing alone, ``_fan_out`` and ``_send_message``:
+    admission, nesting, the dispatcher, the actor table and the trace are
+    Network's, and it uses none of the indexes, the bags or ``crossings``.
     """
 
     def __init__(self, **kw):
         super().__init__(**kw)
         self.told: dict = {}  # aid -> what the actor was last told it sees
 
-    def spawn_nested(self):
-        entry = _ActorEntry(behaviour=_step_nested, state=None)
-        entry.state = BruteForceNetwork(_path=self._register(entry), _parent=self)
-        return entry.state
-
-    def _apply_actor_patch(self, aid, patch):
-        entry = self.actors[aid]
-        clamped = clamp_patch(patch, entry.asserted)
-        if clamped.is_empty():
-            return
-        for a in clamped.added:
-            if not is_pattern(a):
-                raise TypeError(f"not a pattern: {a!r}")
-        encoded = tracing.patch_jsonable(clamped)
-        for a in clamped.added:
-            if not (a is WILDCARD or isinstance(a, Record)):
-                raise TypeError(f"bare atom asserted: {a!r}")
-        entry.asserted = apply_patch(entry.asserted, clamped)
-        self.trace.emit(entry.label, "patch-out", encoded)
+    def _fan_out(self, aid, clamped):
         support = frozenset().union(*(e.asserted for e in self.actors.values()))
         pairs = []
         for bid, e in self.actors.items():
@@ -1153,6 +1137,112 @@ def test_random_programs_trace_as_under_brute_force_routing(fifo):
         got = run_random_program(seed, check=None, fifo=fifo).trace.lines()
         want = run_random_program(seed, check=None, fifo=fifo, network=BruteForceNetwork)
         assert got == want.trace.lines(), seed
+
+
+def patches(held=()):
+    """Patch actions adding from ASSERTED and retracting from held.
+
+    A test draws retractions from what the actor asserts: drawn from all of
+    ASSERTED, they would rarely retract anything.
+    """
+    return st.builds(
+        lambda added, removed: PatchAction(Patch(added, removed - added)),
+        st.frozensets(st.sampled_from(ASSERTED), max_size=4),
+        st.frozensets(st.sampled_from(held), max_size=4) if held else st.just(frozenset()),
+    )
+
+
+def alive(net):
+    """Whether net is the ground network or every network around it still hosts it."""
+    parent = net._parent
+    return parent is None or (net.path in parent.actors and alive(parent))
+
+
+class LockstepRouting(RuleBasedStateMachine):
+    """Network and BruteForceNetwork driven by the same rules, trace line for line.
+
+    The networks of both sides are kept in pairs, the ground pair first; an
+    actor has the same aid on both sides.  After every rule the trace lines
+    it added are the same on both sides, and the production network passes
+    the visibility oracle, so a failure shrinks to a short program.
+    """
+
+    def __init__(self):
+        super().__init__()
+        ground = (new_network(), BruteForceNetwork())
+        self.hosts = [ground, tuple(net.spawn_nested() for net in ground)]
+        self.compared = 0  # trace entries compared so far
+
+    def live_hosts(self):
+        return [pair for pair in self.hosts if alive(pair[0])]
+
+    def live_actors(self):
+        # (host pair, aid, is a player) for every actor of a live network
+        return [
+            (pair, aid, e.behaviour is player)
+            for pair in self.live_hosts()
+            for aid, e in pair[0].actors.items()
+        ]
+
+    @rule(
+        host=st.integers(0, 7),
+        seed=st.integers(0, 2**16),
+        budget=st.integers(0, 3),
+        startup=patches(),
+    )
+    def spawn(self, host, seed, budget, startup):
+        hosts = self.live_hosts()
+        for net in hosts[host % len(hosts)]:
+            net.spawn(player, (random.Random(seed), budget), [startup])
+
+    @precondition(lambda self: self.live_actors())
+    @rule(actor=st.integers(0, 15), data=st.data())
+    def act(self, actor, data):
+        # a nested network's actor only quits
+        live = self.live_actors()
+        pair, aid, is_player = live[actor % len(live)]
+        action = QUIT
+        if is_player:
+            held = sort_patterns(pair[0].actors[aid].asserted)
+            messages = st.sampled_from(GROUND).map(MessageAction)
+            action = data.draw(st.one_of(patches(held), messages, st.just(QUIT)))
+        for net in pair:
+            net.interpret_action(aid, action)
+
+    @rule()
+    def dispatch_one(self):
+        ran = [net.dispatch_one() for net in self.hosts[0]]
+        assert ran[0] == ran[1]
+
+    @rule(seed=st.integers(0, 2**16))
+    def run_until_quiescent(self, seed):
+        for net in self.hosts[0]:
+            net.run_until_quiescent(2000, pick=random.Random(seed).randrange)
+
+    @precondition(lambda self: len(self.hosts) < 4)  # players meet in few networks
+    @rule(host=st.integers(0, 7))
+    def spawn_nested(self, host):
+        hosts = self.live_hosts()
+        self.hosts.append(tuple(net.spawn_nested() for net in hosts[host % len(hosts)]))
+
+    @invariant()
+    def traces_agree(self):
+        got, want = (TraceLog(net.trace.entries[self.compared :]) for net in self.hosts[0])
+        assert got.lines() == want.lines()
+        self.compared += len(got.entries)
+        self.hosts[0][0].check_visibility()
+
+
+# about 4 s when it passes; a failure reports one shrunk example, without
+# the explain phase, which can take minutes here
+LockstepRouting.TestCase.settings = settings(
+    max_examples=150,
+    stateful_step_count=50,
+    deadline=None,
+    report_multiple_bugs=False,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink],
+)
+TestLockstepRouting = LockstepRouting.TestCase
 
 
 def check_message_routing(net):

@@ -8,7 +8,6 @@ from hypothesis import example, given
 from conftest import TYPED_ATOM_VOCAB, pattern_strategy, value_strategy
 from dataspace import (
     EMPTY_PATCH,
-    Bag,
     MalformedText,
     Patch,
     Sym,
@@ -16,6 +15,7 @@ from dataspace import (
     aggregate_snapshots,
     apply_patch,
     clamp_patch,
+    crossings,
     delta,
     interests_of,
     intersect,
@@ -191,7 +191,7 @@ def test_visible_monotone(agg, extra, interests):
 
 @given(st.lists(st.tuples(claims, claims), max_size=8))
 def test_bag_changes_fold_to_its_support(steps):
-    bag, support = Bag(), frozenset()
+    bag, support = {}, frozenset()
     for added, wanted in steps:
         held = Counter(bag) + Counter(added)
         removed = []
@@ -199,23 +199,23 @@ def test_bag_changes_fold_to_its_support(steps):
             if held[a]:
                 held[a] -= 1
                 removed.append(a)
-        patch = Patch(*bag.crossings(added, removed))
+        patch = Patch(*crossings(bag, added, removed))
         assert clamp_patch(patch, support) == patch  # a net change, nothing redundant
         support = apply_patch(support, patch)
         assert support == frozenset(bag)
 
 
 def test_bag_release_of_absent_assertion_raises():
-    bag, none = Bag(), frozenset()
-    assert bag.crossings([account(0), account(0)]) == ({account(0)}, none)
-    assert bag.crossings((), [account(0)]) == (none, none)
-    assert bag.crossings([account(1)], [account(1)]) == (none, none)
-    assert bag.crossings((), [account(0)]) == (none, {account(0)})
+    bag, none = {}, frozenset()
+    assert crossings(bag, [account(0), account(0)]) == ({account(0)}, none)
+    assert crossings(bag, (), [account(0)]) == (none, none)
+    assert crossings(bag, [account(1)], [account(1)]) == (none, none)
+    assert crossings(bag, (), [account(0)]) == (none, {account(0)})
     with pytest.raises(KeyError):
-        bag.crossings((), [account(0)])
+        crossings(bag, (), [account(0)])
     with pytest.raises(KeyError):
-        bag.crossings([account(2)], [account(0)])
-    assert bag == Bag({account(2): 1})  # the changes before the over-release stay
+        crossings(bag, [account(2)], [account(0)])
+    assert bag == {account(2): 1}  # the changes before the over-release stay
 
 
 def test_replaying_an_unreadable_line_raises_malformed_text():

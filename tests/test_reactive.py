@@ -635,12 +635,26 @@ def run_then_send(script, body):
     [
         (On(RisingEdge(lambda: True), lambda ctx: None), "rising-edge events only"),
         (42, "not a facet: 42"),
+        (On(Sym("go"), lambda ctx: None), "not an event: 'go"),
     ],
-    ids=["rising-edge-on", "non-facet"],
+    ids=["rising-edge-on", "non-facet", "non-event-on"],
 )
 def test_bad_facet_rejected_at_construction(facet, error):
     with pytest.raises(TypeError, match=error):
         state(facets=[facet])
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: until("x"), "not an event: 'x'"),
+        (lambda: state(stop=["x"]), "not a stop clause: 'x'"),
+    ],
+    ids=["non-event-until", "non-clause"],
+)
+def test_bad_stop_clause_rejected_at_construction(build, error):
+    with pytest.raises(TypeError, match=error):
+        build()
 
 
 def test_script_yielding_a_non_state_crashes_the_script():
@@ -653,6 +667,23 @@ def test_script_yielding_a_non_state_crashes_the_script():
     assert crashes(net) == [
         (net._label(script_id), "TypeError: script yielded 42; expected a state spec")
     ]
+    assert not net.actors
+
+
+@pytest.mark.parametrize(
+    "script, error",
+    [
+        (lambda ctx: ctx.detach("not a spec"), "not a state spec: 'not a spec'"),
+        (lambda ctx: ctx.actor(42), "not a script: 42"),
+    ],
+    ids=["detach", "actor"],
+)
+def test_a_bad_spawn_argument_crashes_the_script_and_spawns_no_child(script, error):
+    net = new_network()
+    script_id = reactive_actor(net, script)
+    net.run_until_quiescent(10)
+    assert crashes(net) == [(net._label(script_id), f"TypeError: {error}")]
+    assert trace_kinds(net) == ["spawn", "crash"]
     assert not net.actors
 
 

@@ -24,7 +24,6 @@ from conftest import (
     value_strategy,
 )
 from dataspace import (
-    Bag,
     Bind,
     Capture,
     CaptureUnbounded,
@@ -37,6 +36,7 @@ from dataspace import (
     canonical_encode,
     canonical_key,
     compile_surface,
+    crossings,
     erase,
     intersect,
     is_ground,
@@ -203,8 +203,8 @@ def test_a_pattern_hole_copies_and_pickles_to_itself(hole):
 def test_distinct_canonical_texts_are_distinct_members_and_bag_keys(vs):
     texts = Counter(canonical_encode(v) for v in vs)
     assert len(frozenset(vs)) == len(texts)
-    bag = Bag()
-    bag.crossings(vs)
+    bag = {}
+    crossings(bag, vs)
     assert Counter({canonical_encode(k): n for k, n in bag.items()}) == texts
 
 
