@@ -13,9 +13,11 @@ message goes to the holders the interests index returns, sorted
 ``check_visibility`` recounts all of this from scratch as a test oracle.
 Scheduling is a single FIFO of (actor, event) pairs, so
 identical programs produce identical traces: a fan-out joins it in one
-append of its receivers' pairs, in aid order, and each dispatch makes one
-call into actor code, ``step(event, state)``, inside the one crash boundary
-(an actor's startup is such a step too).
+append of its receivers' pairs, in aid order.  Each dispatch makes one
+call into actor code, ``behaviour(event, state)``, and ``spawn`` makes one
+for a state's ``on_spawn`` hook; whatever goes wrong from such a call to the
+end of its action list crashes that actor alone, with the detail
+:func:`_crash_detail` writes.
 """
 
 from __future__ import annotations
@@ -116,6 +118,15 @@ QUIT = QuitAction()
 _TICK = object()
 
 
+def _crash_detail(exc: Exception) -> str:
+    # the data of a crash trace entry
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _no_hook() -> None:
+    pass
+
+
 def _step_nested(tick, child: "Network") -> None:
     # the behaviour of a nested network actor, whose state is the child
     # network: one child dispatch per tick
@@ -179,28 +190,36 @@ class Network:
         after registration and may return extra startup actions.  fresh_id(),
         all the hook sees of the network, counts 0, 1, 2, ... across this
         network's hooks.  Bad startup actions or a failing hook crash the new
-        actor, not the caller.
+        actor, not the caller.  A nested network whose actor is gone takes no
+        spawn: it raises RuntimeError.
         """
-        entry = _ActorEntry(behaviour=behaviour, state=state)
-        aid = self._register(entry)
-
-        def startup(fresh_id, state):
+        aid = self._register(_ActorEntry(behaviour=behaviour, state=state))
+        try:
             actions = list(startup_actions)
             hook = getattr(state, "on_spawn", None)
             if callable(hook):
-                actions.extend(hook(fresh_id))
-            return Continue(state, actions)
-
-        self._run_actor(aid, entry, startup, self._fresh_id)
+                actions.extend(hook(self._fresh_id))
+            for act in actions:
+                self.interpret_action(aid, act)
+        except Exception as exc:
+            self.terminate_actor(aid, _crash_detail(exc))
         return aid
 
     def spawn_nested(self) -> "Network":
-        """Create a network actor, stepped by _step_nested, with a private dataspace."""
+        """Create a network actor, stepped by _step_nested, with a private dataspace.
+
+        Like :meth:`spawn`, it raises RuntimeError once this network's actor is gone.
+        """
         entry = _ActorEntry(behaviour=_step_nested, state=None)
         entry.state = type(self)(_path=self._register(entry), _parent=self)
         return entry.state
 
     def _register(self, entry: _ActorEntry) -> tuple[int, ...]:
+        # a nested network is gone once its actor is (_finalize_subtree ran):
+        # a tick it queued would reach an aid its parent no longer holds
+        parent = self._parent
+        if parent is not None and self.path not in parent.actors:
+            raise RuntimeError(f"network {self._label(self.path)} has quit: it takes no spawn")
         aid = (*self.path, self._next_index)
         self._next_index += 1
         self.actors[aid] = entry
@@ -245,25 +264,6 @@ class Network:
         self.queue.clear()
 
     # -- action interpretation ----------------------------------------------
-
-    def _run_actor(self, aid: tuple[int, ...], entry: _ActorEntry, step: Callable, arg) -> None:
-        # The one crash boundary, for startup and dispatch alike:
-        # step(arg, entry.state) runs the actor's code (its behaviour on an
-        # event, or spawn's startup on the fresh-id source), and everything
-        # that goes wrong from there to the end of its action list (a raise,
-        # a step result that is not Continue/None, a bad action, a non-value)
-        # terminates the actor alone with a crash entry.
-        try:
-            result = step(arg, entry.state)
-            if result is None:
-                return
-            if not isinstance(result, Continue):
-                raise TypeError(f"step result is not Continue or None: {result!r}")
-            entry.state = result.state
-            for act in result.actions:
-                self.interpret_action(aid, act)
-        except Exception as exc:
-            self.terminate_actor(aid, f"{type(exc).__name__}: {exc}")
 
     def interpret_action(self, aid: tuple[int, ...], action) -> None:
         """Perform one action for a registered actor; a no-op once it is gone."""
@@ -418,7 +418,10 @@ class Network:
         A nested network's tick is an event like any other, so a tick whose
         child queue was emptied meanwhile (its actor quit) is a dispatch that
         does nothing.  The event reaches its actor through one call,
-        ``behaviour(event, state)``, inside :meth:`_run_actor`.
+        ``behaviour(event, state)``.  Everything that goes wrong from there
+        to the end of its action list (a raise, a step result that is not
+        Continue or None, a bad action, a non-value) terminates the actor
+        alone with a crash entry.
         """
         queue = self.queue
         if not queue:
@@ -427,7 +430,17 @@ class Network:
         entry = self.actors[aid]
         if type(event) is PatchEvent:
             self.trace.emit(entry.label, "patch-in", patch_jsonable(event.patch))
-        self._run_actor(aid, entry, entry.behaviour, event)
+        try:
+            result = entry.behaviour(event, entry.state)
+            if result is None:
+                return True
+            if not isinstance(result, Continue):
+                raise TypeError(f"step result is not Continue or None: {result!r}")
+            entry.state = result.state
+            for act in result.actions:
+                self.interpret_action(aid, act)
+        except Exception as exc:
+            self.terminate_actor(aid, _crash_detail(exc))
         return True
 
     def run_until_quiescent(self, max_steps: int, *, pick=None, after_step=None) -> int:
@@ -445,28 +458,42 @@ class Network:
         A nested network's own events are always dispatched oldest first.
         after_step, if given, runs after every dispatch; passing
         :meth:`check_visibility` recounts visibility from scratch each step.
-        Returns the number of dispatches made.
+        Returns the number of dispatches made.  With neither hook the loop
+        calls ``dispatch_one`` alone; with either, one step closure bound here
+        runs the hooks around it, so no hook is tested per event.
         """
         if max_steps <= 0:
             raise ValueError("max_steps must be positive")
-        dispatch = self.dispatch_one
         queue = self.queue
+        step = dispatch = self.dispatch_one
+        if pick is not None or after_step is not None:
+
+            def choose() -> None:
+                if queue:
+                    oldest: dict = {}  # actor -> the queue index of its oldest event
+                    for i, (aid, _) in enumerate(queue):
+                        oldest.setdefault(aid, i)
+                    k = pick(len(oldest))
+                    if not 0 <= k < len(oldest):
+                        raise ValueError(f"no queued event for pick {k} of {len(oldest)} actors")
+                    i = list(oldest.values())[k]
+                    pair = queue[i]  # the chosen event goes to the head, for dispatch_one
+                    del queue[i]
+                    queue.appendleft(pair)
+
+            before = choose if pick is not None else _no_hook
+            after = after_step if after_step is not None else _no_hook
+
+            def step() -> bool:
+                before()
+                if not dispatch():
+                    return False
+                after()
+                return True
+
         for steps in range(max_steps):
-            if pick is not None and queue:
-                oldest: dict = {}  # actor -> the queue index of its oldest event
-                for i, (aid, _) in enumerate(queue):
-                    oldest.setdefault(aid, i)
-                k = pick(len(oldest))
-                if not 0 <= k < len(oldest):
-                    raise ValueError(f"no queued event for pick {k} of {len(oldest)} actors")
-                i = list(oldest.values())[k]
-                pair = queue[i]  # the chosen event goes to the head, for dispatch_one
-                del queue[i]
-                queue.appendleft(pair)
-            if not dispatch():
+            if not step():
                 return steps
-            if after_step is not None:
-                after_step()
         if queue:
             raise NonQuiescent(max_steps)
         return max_steps

@@ -674,7 +674,8 @@ def test_displaying_a_non_value_crashes_the_actor(shown):
     assert kinds == ["spawn", "patch-out", "patch-out", "crash"]
 
 
-def test_ping_pong_reports_non_quiescent():
+def _ping_pong():
+    # two bouncers that answer each other's message forever, and a kicker
     net = new_network()
 
     def bouncer(reply):
@@ -693,8 +694,12 @@ def test_ping_pong_reports_non_quiescent():
     )
     kicker = net.spawn(idle, None)
     net.interpret_action(kicker, MessageAction(Sym("ping")))
+    return net
+
+
+def test_ping_pong_reports_non_quiescent():
     with pytest.raises(NonQuiescent) as err:
-        net.run_until_quiescent(50)
+        _ping_pong().run_until_quiescent(50)
     assert err.value.max_steps == 50
 
 
@@ -728,6 +733,58 @@ def test_an_out_of_range_pick_raises_and_dispatches_nothing(pick):
     with pytest.raises(ValueError, match="no queued event"):
         net.run_until_quiescent(50, pick=pick)
     assert list(net.queue) == queued and net.trace.entries == entries and seen == []
+
+
+HOOKS = ["none", "pick", "after_step", "both"]
+
+
+def counting_hooks(net, hooks, monkeypatch):
+    """The run loop's keyword arguments for one combination of hooks.
+
+    Returns them with a Counter of calls to each hook and of the dispatches
+    made through ``net.dispatch_one``; pick always picks the oldest event.
+    """
+    calls = Counter()
+    dispatch = net.dispatch_one
+
+    def counted_dispatch():
+        made = dispatch()
+        calls["dispatch"] += made
+        return made
+
+    def pick(n):
+        calls["pick"] += 1
+        return 0
+
+    def after_step():
+        calls["after_step"] += 1
+
+    monkeypatch.setattr(net, "dispatch_one", counted_dispatch)
+    kwargs = {}
+    if hooks in ("pick", "both"):
+        kwargs["pick"] = pick
+    if hooks in ("after_step", "both"):
+        kwargs["after_step"] = after_step
+    return kwargs, calls
+
+
+@pytest.mark.parametrize("hooks", HOOKS)
+def test_each_hook_runs_once_per_dispatch(hooks, monkeypatch):
+    net, seen = _three_queued_messages()
+    kwargs, calls = counting_hooks(net, hooks, monkeypatch)
+    assert net.run_until_quiescent(50, **kwargs) == 3
+    assert seen == [0, 1, 2]
+    assert calls == {"dispatch": 3, **{hook: 3 for hook in kwargs}}
+
+
+@pytest.mark.parametrize("hooks", HOOKS)
+def test_non_quiescent_is_raised_at_the_same_budget_whatever_the_hooks(hooks, monkeypatch):
+    net = _ping_pong()
+    kwargs, calls = counting_hooks(net, hooks, monkeypatch)
+    with pytest.raises(NonQuiescent) as err:
+        net.run_until_quiescent(50, **kwargs)
+    assert err.value.max_steps == 50
+    assert calls == {"dispatch": 50, **{hook: 50 for hook in kwargs}}
 
 
 def test_terminating_an_actor_filters_the_queue_in_place():
@@ -909,6 +966,26 @@ def test_a_stale_nested_tick_is_a_dispatch_that_does_nothing():
         ("g/0/0", "quit", None),
     ]
     assert not inner.actors and not inner.queue and not net.queue
+    net.check_visibility()
+
+
+def test_a_quit_nested_network_refuses_spawns_and_queues_nothing():
+    # a spawn into it would queue a tick for an aid its parent no longer holds
+    net = new_network()
+    inner = net.spawn_nested()
+    deeper = inner.spawn_nested()
+    net.terminate_actor(inner.path)
+    entries = list(net.trace.entries)
+    interest = [PatchAction(Patch({observe(Sym("x"))}, ()))]
+    with pytest.raises(RuntimeError, match="network g/0 has quit"):
+        inner.spawn(idle, None, interest)
+    with pytest.raises(RuntimeError, match="network g/0 has quit"):
+        inner.spawn_nested()
+    with pytest.raises(RuntimeError, match="network g/0/0 has quit"):
+        deeper.spawn(idle, None, interest)
+    assert net.trace.entries == entries
+    assert not net.queue and not inner.actors and not deeper.actors
+    assert net.run_until_quiescent(10) == 0
     net.check_visibility()
 
 
@@ -1723,17 +1800,18 @@ MOVES = st.sampled_from(
 )
 
 
-@given(
-    st.lists(st.lists(MOVES, max_size=5).map(tuple), min_size=1, max_size=5),
-    st.randoms(use_true_random=False),
-)
-def test_misbehaving_actors_crash_alone(scripts, rng):
+def play_misbehaving(scripts, rng=None):
+    # with rng, a random pick and a visibility recount after every dispatch;
+    # without, the default loop and one recount at quiescence
     net = new_network()
     for moves in scripts:
         net.spawn(misbehaving, moves, [PatchAction(Patch({POKE, FACT}, ()))])
     kicker = net.spawn(idle, None)
     net.interpret_action(kicker, MessageAction(rec("poke", "go")))
-    net.run_until_quiescent(5000, pick=rng.randrange, after_step=net.check_visibility)
+    if rng is None:
+        net.run_until_quiescent(5000)
+    else:
+        net.run_until_quiescent(5000, pick=rng.randrange, after_step=net.check_visibility)
     net.check_visibility()
     ends: dict = {}
     for e in net.trace.entries:
@@ -1744,3 +1822,16 @@ def test_misbehaving_actors_crash_alone(scripts, rng):
         assert kinds[0] == "spawn" and len(kinds) == (1 if label in live else 2), label
     # a capture hole is not a value: it never reaches the dataspace or the trace
     assert not any('"?!"' in line for line in net.trace.lines())
+
+
+SCRIPTS = st.lists(st.lists(MOVES, max_size=5).map(tuple), min_size=1, max_size=5)
+
+
+@given(SCRIPTS, st.randoms(use_true_random=False))
+def test_misbehaving_actors_crash_alone(scripts, rng):
+    play_misbehaving(scripts, rng)
+
+
+@given(SCRIPTS)
+def test_misbehaving_actors_crash_alone_under_the_default_loop(scripts):
+    play_misbehaving(scripts)
