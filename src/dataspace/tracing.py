@@ -1,18 +1,20 @@
 """Deterministic trace log and trace replay helpers.
 
-Each entry is a flat JSON object {seq, actor, kind, data}; assertion sets
-inside patches are sorted by the canonical ordering so two runs of the same
-program serialize byte-identically.  A line is put together from its parts'
-texts, each record's from the text its form caches, and reads exactly as
-``json.dumps(entry, separators=(",", ":"))`` would write it.  Entries may
-share a ``data`` object (a ``patch-out`` and its ``patch-in``s can share one
-patch form); one render writes each shared object, label and kind once.
+The log keeps each entry as an ``(actor, kind, data)`` tuple; its ``seq`` is
+its position.  An entry reads as a flat JSON object {seq, actor, kind, data};
+assertion sets inside patches are sorted by the canonical ordering so two
+runs of the same program serialize byte-identically.  A line is put together
+from its parts' texts, each record's from the text its form caches, and
+reads exactly as ``json.dumps(entry, separators=(",", ":"))`` would write
+it.  Entries may share a ``data`` object (a ``patch-out`` and its
+``patch-in``s can share one patch form); one render writes each shared
+object, label and kind once.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 
 from .patches import Patch, crossings
 from .values import (
@@ -28,26 +30,43 @@ from .values import (
 __all__ = ["TraceLog", "aggregate_snapshots", "patch_jsonable"]
 
 
-@dataclass
 class TraceLog:
-    """Append-only ordered record of everything a network run did."""
+    """Append-only ordered record of everything a network run did.
 
-    entries: list = field(default_factory=list)
+    Each entry is kept as an ``(actor, kind, data)`` tuple, so emitting one
+    builds no dict; :attr:`entries` builds the ``{seq, actor, kind, data}``
+    dicts when they are read.  Given entries read off another log (say the
+    slice ``log.entries[k:]``), the new log holds them with their own seqs.
+    """
+
+    __slots__ = ("_log", "_first")
+
+    def __init__(self, entries=()):
+        self._first = entries[0]["seq"] if entries else 0
+        self._log = []
+        for seq, e in enumerate(entries, self._first):
+            if e["seq"] != seq:
+                raise ValueError(f"entry seq {e['seq']} where {seq} comes next")
+            self._log.append((e["actor"], e["kind"], e["data"]))
 
     def emit(self, actor: str, kind: str, data) -> None:
-        self.entries.append(
-            {"seq": len(self.entries), "actor": actor, "kind": kind, "data": data}
-        )
+        self._log.append((actor, kind, data))
+
+    @property
+    def entries(self) -> Sequence:
+        """The entries, oldest first: a read-only sequence whose every item
+        read is a fresh ``{seq, actor, kind, data}`` dict.  A ``data`` object
+        is the one emitted, shared with other entries and never to be changed."""
+        return _Entries(self._log, self._first)
 
     def lines(self) -> list[str]:
         # each data object, label and kind is written once per call: the
-        # entries keep every data object alive until the call returns, so no
-        # id is reused while the memo lives
+        # log keeps every data object alive until the call returns, so no id
+        # is reused while the memo lives
         texts: dict = {}  # id(data) -> its text
         quoted: dict = {}  # label or kind -> its text
         out = []
-        for e in self.entries:
-            data, actor, kind = e["data"], e["actor"], e["kind"]
+        for seq, (actor, kind, data) in enumerate(self._log, self._first):
             text = texts.get(id(data))
             if text is None:
                 text = texts[id(data)] = _data_text(data)
@@ -57,8 +76,31 @@ class TraceLog:
             k = quoted.get(kind)
             if k is None:
                 k = quoted[kind] = json_text(kind)
-            out.append(f'{{"seq":{e["seq"]},"actor":{a},"kind":{k},"data":{text}}}')
+            out.append(f'{{"seq":{seq},"actor":{a},"kind":{k},"data":{text}}}')
         return out
+
+
+class _Entries(Sequence):
+    # a view of a log's tuples; an int index gives one entry's dict, a slice
+    # a list of them, each with the seq it has in the log
+    __slots__ = ("_log", "_first")
+
+    def __init__(self, log: list, first: int):
+        self._log = log
+        self._first = first
+
+    def __len__(self) -> int:
+        return len(self._log)
+
+    def __getitem__(self, i):
+        at = range(len(self._log))[i]  # an index or a range of them; raises as a list would
+        if type(at) is range:
+            return [self._entry(j) for j in at]
+        return self._entry(at)
+
+    def _entry(self, i: int) -> dict:
+        actor, kind, data = self._log[i]
+        return {"seq": self._first + i, "actor": actor, "kind": kind, "data": data}
 
 
 def _data_text(data) -> str:
