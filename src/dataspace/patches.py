@@ -79,7 +79,10 @@ def seq_patches(p1: Patch, p2: Patch) -> Patch:
 
 
 def clamp_patch(p: Patch, current: set | frozenset) -> Patch:
-    """Drop re-assertions and retractions of the absent, relative to current."""
+    """Drop re-assertions and retractions of the absent, relative to current:
+    p itself when there are none, so the two share p's cached trace form."""
+    if p.added.isdisjoint(current) and p.removed <= current:
+        return p
     return Patch(p.added - current, p.removed & current)
 
 

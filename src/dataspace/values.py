@@ -26,8 +26,8 @@ kind, a value, a pattern holding a wildcard, or neither, which answers both
 from __future__ import annotations
 
 import json
-import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from contextlib import contextmanager
 from typing import Iterable
 
@@ -78,17 +78,16 @@ class DuplicateBinder(ValueError):
 # paired with its type, so 1 and #t never share a key; sub-values are
 # themselves interned and so are keyed by identity.  Equal values are
 # therefore one object, and equality and hashing are object identity.
-# Filing and unfiling take the lock, so that two threads building one value
-# get one object; a lookup does not.
+# No lock: filing is one setdefault, and a dead entry is removed only while
+# still dead, so threads building one value get one object, and a dying
+# instance never unfiles the live one filed after it.
 _TABLE: dict = {}
-_LOCK = threading.RLock()  # reentrant: a collection inside _file may run _unfile
 
 
-def _unfile(entry, table=_TABLE, lock=_LOCK) -> None:
-    # the instance died; a new one may already be filed under its key
-    with lock:
-        if table.get(entry.key) is entry:
-            del table[entry.key]
+def _unfile(entry, table=_TABLE, remove_dead=_remove_dead_weakref) -> None:
+    # the instance died; a new one may be filed already.  Defaults, not
+    # globals: interpreter exit may clear those before this runs
+    remove_dead(table, entry.key)
 
 
 class _Entry(weakref.ref):
@@ -108,16 +107,16 @@ def _live(key):
 
 def _file(obj, key):
     """File a new instance under its key; returns the instance filed there."""
-    with _LOCK:
-        filed = _live(key)  # another thread may have filed it first
-        if filed is not None:
-            return filed
+    entry = _Entry(obj, _unfile)
+    entry.key = key
+    while True:
         try:
-            entry = _TABLE[key] = _Entry(obj, _unfile)
+            filed = _TABLE.setdefault(key, entry)()
         except TypeError:
             return obj
-        entry.key = key
-        return obj
+        if filed is not None:  # obj itself, or the one another thread filed first
+            return filed
+        _remove_dead_weakref(_TABLE, key)  # a dying instance's entry, not yet unfiled
 
 
 _set = object.__setattr__  # instances are immutable once built

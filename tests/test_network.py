@@ -200,7 +200,9 @@ def test_one_fan_out_shares_one_event_and_one_trace_form():
 
 def test_a_fan_out_builds_as_many_patches_for_one_receiver_as_for_many(monkeypatch):
     # receivers whose seen-bag change is equal share one Patch, so the count
-    # of patches one publish builds does not grow with the receivers
+    # of patches one publish builds does not grow with the receivers; a
+    # publish that needs no clamping is its own patch-out, and its receivers,
+    # who see exactly that change, get it too: it builds none
     built = []
     post_init = Patch.__post_init__
     monkeypatch.setattr(Patch, "__post_init__", lambda p: built.append(p) or post_init(p))
@@ -216,7 +218,8 @@ def test_a_fan_out_builds_as_many_patches_for_one_receiver_as_for_many(monkeypat
         net.interpret_action(publisher, action)
         counts.append(len(built))
         assert [aid for aid, _ in net.queue] == observers
-    assert counts == [counts[0]] * 3, counts
+        assert all(event.patch is action.patch for _, event in net.queue)
+    assert counts == [0] * 3, counts
 
 
 def test_a_fan_out_walks_as_many_bags_for_one_receiver_as_for_many(monkeypatch):

@@ -124,6 +124,21 @@ def test_clamp_patch_balance_update_passes_through():
     assert apply_patch(current, clamped) == apply_patch(current, p)
 
 
+def test_clamp_patch_is_the_patch_itself_when_nothing_is_dropped():
+    # the patch-out and its trace form are then the actor's own patch
+    current = {account(0), observe(deposit(WILDCARD))}
+    for p in (Patch({account(100)}, {account(0)}), Patch({deposit(1)}, ()), EMPTY_PATCH):
+        assert clamp_patch(p, current) is p
+    # a re-assertion or a retraction of the absent still gives a new patch
+    for p, clamped in (
+        (Patch({account(0), account(100)}, ()), Patch({account(100)}, ())),
+        (Patch({account(100)}, {account(0), account(7)}), Patch({account(100)}, {account(0)})),
+        (Patch((), {account(7)}), EMPTY_PATCH),
+    ):
+        got = clamp_patch(p, current)
+        assert got is not p and got == clamped
+
+
 def test_interests_of_unwraps_one_level():
     s = {observe(deposit(WILDCARD)), account(0)}
     assert interests_of(s) == (deposit(WILDCARD),)

@@ -3,10 +3,13 @@ import enum
 import gc
 import itertools
 import json
+import os
 import pickle
+import subprocess
 import sys
 import threading
 from collections import Counter
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -161,6 +164,83 @@ def test_threads_building_the_same_values_get_one_object():
     assert all(len(out) == 3000 for out in results)
     for out in results[1:]:
         assert all(a is b for a, b in zip(results[0], out))
+
+
+def test_unfiling_a_stale_entry_removes_only_a_dead_one():
+    # a dying instance's entry may be unfiled after a new instance of its
+    # value was filed under the same key: that one must stay filed
+    live = rec("stale", 1)
+    (key,) = [k for k, entry in values._TABLE.items() if entry() is live]
+    stale = values._Entry(set())  # its referent dies at once
+    stale.key = key
+    assert stale() is None
+    values._unfile(stale)
+    assert values._TABLE[key]() is live
+    assert rec("stale", 1) is live
+    # a dead entry still filed, its callback not yet run, is removed
+    stale.key = ("no such value",)
+    values._TABLE[stale.key] = stale
+    values._unfile(stale)
+    assert stale.key not in values._TABLE
+
+
+def test_threads_building_and_dropping_the_same_values_get_one_object():
+    # values die and are built again while other threads hold them: two
+    # live copies of one value are one object, within a thread and across
+    # threads, and every dead instance leaves the table.  The threads
+    # interleave differently from batch to batch, so several batches run
+    held = [None] * 7  # the copy one thread left for the others, or None
+    failures = []
+
+    def churn(offset):
+        for k in range(offset, offset + 5000):
+            i = k % 7
+            other = held[i]
+            v = rec("churn", i)
+            if v is not rec("churn", i) or (other is not None and other is not v):
+                failures.append(i)
+            held[i] = v if k % 2 else None
+
+    gc.collect()
+    before = len(values._TABLE)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(8):
+            threads = [threading.Thread(target=churn, args=(n,)) for n in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not failures
+    held.clear()
+    gc.collect()
+    assert len(values._TABLE) == before
+
+
+def test_values_alive_at_interpreter_exit_leave_no_error():
+    # module globals are cleared at exit while interned values still die:
+    # their weak-reference callbacks must read none of them
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), os.environ.get("PYTHONPATH", "")])
+    code = (
+        "from dataspace import values\n"
+        "kept = [values.rec('exit', i, values.Sym(f's{i}')) for i in range(200)]\n"
+        "values.kept = kept[::2]\n"
+        "loop = [values.rec('loop', i) for i in range(50)]\n"
+        "loop.append(loop)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0
+    assert done.stderr == ""
 
 
 def test_a_record_with_an_unhashable_field_is_built_unshared():
