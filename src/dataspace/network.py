@@ -1,8 +1,8 @@
 """The network actor: actor table, aggregate dataspace, deterministic queue.
 
 Actors are behaviours, functions from an event and private state to a step
-result; a nested network is one that dispatches one of its own events per
-tick.  All shared-state changes flow through patches.  The network files every
+result, each named by the int its network counts at spawn (its aid).  All
+shared-state changes flow through patches.  The network files every
 interest and every supported assertion in an index, so a patch or message
 reaches only the actors whose interests intersect what changed; each actor
 keeps a bag, a plain dict, counting per visible assertion how many of its
@@ -114,9 +114,6 @@ class QuitAction:
 
 QUIT = QuitAction()
 
-# Internal scheduling event: "the nested network behind this actor has work".
-_TICK = object()
-
 
 def _crash_detail(exc: Exception) -> str:
     # the data of a crash trace entry
@@ -127,23 +124,14 @@ def _no_hook() -> None:
     pass
 
 
-def _step_nested(tick, child: "Network") -> None:
-    # the behaviour of a nested network actor, whose state is the child
-    # network: one child dispatch per tick
-    child._tick_pending = False
-    child.dispatch_one()
-    if child.queue:
-        child._notify_parent()
-
-
 @dataclass
 class _ActorEntry:
     behaviour: Callable
     state: Any
+    label: str  # the actor's name in trace entries, g/<aid>
     asserted: set = field(default_factory=set)  # changed in place by each patch
     # visible assertion -> how many of this actor's interests intersect it
     seen: dict = field(default_factory=dict)
-    label: str = ""  # the actor's name in trace entries, set by _register
 
 
 @dataclass
@@ -157,43 +145,37 @@ class Continue:
 class Network:
     """A dataspace plus the actors it contains.
 
-    Use :func:`new_network` for the ground network; nested networks are
-    created with :meth:`spawn_nested`.  Mutation happens only inside
-    ``dispatch_one``/``interpret_action``; confine each network tree to one
+    Use :func:`new_network` to make one.  Mutation happens only inside
+    ``dispatch_one``/``interpret_action``; confine each network to one
     logical thread.
     """
 
-    def __init__(self, *, _path=(), _parent=None):
-        self.path: tuple[int, ...] = _path
-        self.actors: dict[tuple[int, ...], _ActorEntry] = {}
+    def __init__(self):
+        self.actors: dict[int, _ActorEntry] = {}
         self.aggregate: dict = {}  # assertion -> how many actors assert it
         self.support = Index()  # the aggregate's support
         self.interests = Index()  # every actor's interests, filed under its aid
         self.queue: deque = deque()
-        self.trace: TraceLog = _parent.trace if _parent is not None else TraceLog()
-        self._next_index = 0
-        self._parent: Optional[Network] = _parent
-        self._tick_pending = False
+        self.trace = TraceLog()
+        self._next_aid = itertools.count().__next__
         self._fresh_id = itertools.count().__next__
-
-    # -- identity -----------------------------------------------------------
-
-    def _label(self, aid: tuple[int, ...]) -> str:
-        return "/".join(["g", *map(str, aid)])
 
     # -- spawning and termination -------------------------------------------
 
-    def spawn(self, behaviour, state, startup_actions=()) -> tuple[int, ...]:
+    def spawn(self, behaviour, state, startup_actions=()) -> int:
         """Register an actor and interpret its startup actions in order.
 
+        The actor's id, which spawn returns, is the int this network counts
+        0, 1, 2, ... across its spawns, and its trace label is ``g/<aid>``.
         If the state object defines ``on_spawn(fresh_id)`` it is invoked
         after registration and may return extra startup actions.  fresh_id(),
         all the hook sees of the network, counts 0, 1, 2, ... across this
         network's hooks.  Bad startup actions or a failing hook crash the new
-        actor, not the caller.  A nested network whose actor is gone takes no
-        spawn: it raises RuntimeError.
+        actor, not the caller.
         """
-        aid = self._register(_ActorEntry(behaviour=behaviour, state=state))
+        aid = self._next_aid()
+        entry = self.actors[aid] = _ActorEntry(behaviour, state, f"g/{aid}")
+        self.trace.emit(entry.label, "spawn", None)
         try:
             actions = list(startup_actions)
             hook = getattr(state, "on_spawn", None)
@@ -205,29 +187,7 @@ class Network:
             self.terminate_actor(aid, _crash_detail(exc))
         return aid
 
-    def spawn_nested(self) -> "Network":
-        """Create a network actor, stepped by _step_nested, with a private dataspace.
-
-        Like :meth:`spawn`, it raises RuntimeError once this network's actor is gone.
-        """
-        entry = _ActorEntry(behaviour=_step_nested, state=None)
-        entry.state = type(self)(_path=self._register(entry), _parent=self)
-        return entry.state
-
-    def _register(self, entry: _ActorEntry) -> tuple[int, ...]:
-        # a nested network is gone once its actor is (_finalize_subtree ran):
-        # a tick it queued would reach an aid its parent no longer holds
-        parent = self._parent
-        if parent is not None and self.path not in parent.actors:
-            raise RuntimeError(f"network {self._label(self.path)} has quit: it takes no spawn")
-        aid = (*self.path, self._next_index)
-        self._next_index += 1
-        self.actors[aid] = entry
-        entry.label = self._label(aid)
-        self.trace.emit(entry.label, "spawn", None)
-        return aid
-
-    def terminate_actor(self, aid: tuple[int, ...], crash: Optional[str] = None) -> None:
+    def terminate_actor(self, aid: int, crash: Optional[str] = None) -> None:
         """Retract everything the actor asserted, notify, and remove it.
 
         With crash None the actor quits cleanly (a quit trace entry);
@@ -239,8 +199,6 @@ class Network:
         if entry is None:
             return
         self._apply_actor_patch(aid, Patch(frozenset(), entry.asserted))
-        if entry.behaviour is _step_nested:
-            entry.state._finalize_subtree()
         del self.actors[aid]
         queue = self.queue
         if queue:
@@ -250,22 +208,9 @@ class Network:
                 queue.extend(kept)
         self.trace.emit(entry.label, "quit" if crash is None else "crash", crash)
 
-    def _finalize_subtree(self) -> None:
-        # The containing network actor is going away: the private dataspace
-        # vanishes wholesale, so no retraction protocol runs inside it.
-        for entry in self.actors.values():
-            if entry.behaviour is _step_nested:
-                entry.state._finalize_subtree()
-            self.trace.emit(entry.label, "quit", None)
-        self.actors.clear()
-        self.aggregate.clear()
-        self.support.clear()
-        self.interests.clear()
-        self.queue.clear()
-
     # -- action interpretation ----------------------------------------------
 
-    def interpret_action(self, aid: tuple[int, ...], action) -> None:
+    def interpret_action(self, aid: int, action) -> None:
         """Perform one action for a registered actor; a no-op once it is gone."""
         if aid not in self.actors:
             return
@@ -398,30 +343,17 @@ class Network:
     # -- scheduling -----------------------------------------------------------
 
     def _enqueue(self, pairs: list) -> None:
-        # a fan-out's (aid, event) pairs, in aid order, join the queue in one
-        # append, and a nested network tells its parent once; a fan-out that
-        # reached no one queues no tick
-        if pairs:
-            self.queue.extend(pairs)
-            if self._parent is not None:  # the ground network has no one to tell
-                self._notify_parent()
-
-    def _notify_parent(self) -> None:
-        # only a nested network, which has a parent, calls this
-        if not self._tick_pending:
-            self._tick_pending = True
-            self._parent._enqueue([(self.path, _TICK)])
+        # a fan-out's (aid, event) pairs, in aid order, join the queue in one append
+        self.queue.extend(pairs)
 
     def dispatch_one(self) -> bool:
         """Deliver the oldest queued event to its actor; False when quiescent.
 
-        A nested network's tick is an event like any other, so a tick whose
-        child queue was emptied meanwhile (its actor quit) is a dispatch that
-        does nothing.  The event reaches its actor through one call,
-        ``behaviour(event, state)``.  Everything that goes wrong from there
-        to the end of its action list (a raise, a step result that is not
-        Continue or None, a bad action, a non-value) terminates the actor
-        alone with a crash entry.
+        The event reaches its actor through one call, ``behaviour(event,
+        state)``.  Everything that goes wrong from there to the end of its
+        action list (a raise, a step result that is not Continue or None, a
+        bad action, a non-value) terminates the actor alone with a crash
+        entry.
         """
         queue = self.queue
         if not queue:
@@ -455,7 +387,6 @@ class Network:
         queued, whatever pick does; a k outside the range raises ValueError
         before anything is dispatched.  pick is called only while the queue
         is non-empty, and tests use it to explore alternative interleavings.
-        A nested network's own events are always dispatched oldest first.
         after_step, if given, runs after every dispatch; passing
         :meth:`check_visibility` recounts visibility from scratch each step.
         Returns the number of dispatches made.  With neither hook the loop
@@ -507,35 +438,32 @@ class Network:
         actor's whole assertion set and the whole support instead of the
         indexes, and checks that each actor sees exactly the assertions some
         interest of its own intersects, each counted once per such interest.
-        Nested networks are checked in turn.
         """
         recount: Counter = Counter()
         for entry in self.actors.values():
             recount.update(entry.asserted)
         if recount != self.aggregate:
             raise VisibilityMismatch(
-                f"aggregate drift at {self._label(self.path)}: "
+                "aggregate drift at g: "
                 f"{dict(self.aggregate)} != {dict(recount)}"
             )
-        for bid, entry in self.actors.items():
+        for entry in self.actors.values():
             interests = tuple(observed(entry.asserted))
             expect = visible(self.aggregate, interests)
             if expect != entry.seen.keys():
                 raise VisibilityMismatch(
-                    f"visible-set drift at {self._label(bid)}: "
+                    f"visible-set drift at {entry.label}: "
                     f"{set(entry.seen)} != {set(expect)}"
                 )
             for a in expect:
                 n = sum(intersect(p, a) is not None for p in interests)
                 if entry.seen[a] != n:
                     raise VisibilityMismatch(
-                        f"visible-count drift at {self._label(bid)}: "
+                        f"visible-count drift at {entry.label}: "
                         f"{a!r} counted {entry.seen[a]}, not {n}"
                     )
-            if entry.behaviour is _step_nested:
-                entry.state.check_visibility()
 
 
 def new_network() -> Network:
-    """The ground network at the outermost layer."""
+    """A network with no actors."""
     return Network()

@@ -472,6 +472,6 @@ def _reactive_step(event, state: ReactiveState):
     return Continue(state, actions) if actions else None
 
 
-def reactive_actor(net, script) -> tuple[int, ...]:
+def reactive_actor(net, script) -> int:
     """Spawn an actor that runs the script until it completes or suspends."""
     return net.spawn(_reactive_step, ReactiveState(script))

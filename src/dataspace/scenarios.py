@@ -1,6 +1,6 @@
 """Executable coordination scenarios with deterministic golden traces.
 
-Each scenario builds a small protocol into a fresh ground network and runs
+Each scenario builds a small protocol into a fresh network and runs
 it to quiescence: a bank account (plain behaviours and reactive facets), an
 event counter with interruption, and a file system whose cache entries live
 exactly as long as somebody is watching.  Console output is modelled as

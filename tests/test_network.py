@@ -47,9 +47,9 @@ from dataspace import (
     visible,
 )
 from dataspace import tracing
-from dataspace.network import _TICK, Network, _step_nested
+from dataspace.network import Network
 from dataspace.patches import crossings, delta, observed
-from dataspace.scenarios import build_bank_account_plain
+from dataspace.scenarios import SCENARIOS, build_bank_account_plain, run_scenario
 from dataspace.values import from_jsonable, to_jsonable
 
 
@@ -317,7 +317,7 @@ def test_releasing_what_a_receiver_does_not_hold_crashes_the_patcher():
     assert publisher not in net.actors
     crashes = [e for e in net.trace.entries if e["kind"] == "crash"]
     assert [(e["actor"], e["data"].split(":")[0]) for e in crashes] == [
-        (net._label(publisher), "KeyError")
+        (f"g/{publisher}", "KeyError")
     ]
 
 
@@ -442,28 +442,6 @@ def test_a_fan_out_joins_the_queue_in_one_append_for_one_receiver_as_for_many(
         counts.append(len(calls))
         assert [aid for aid, _ in net.queue] == observers
     assert counts == [1, 1, 1], counts
-
-
-def test_a_nested_fan_out_queues_its_receivers_in_order_and_one_tick():
-    # the receivers subscribe in reverse aid order, so the index lists them
-    # that way; the child queue holds them sorted, the ground queue one tick
-    net = new_network()
-    inner = net.spawn_nested()
-    receivers = [inner.spawn(idle, None) for _ in range(3)]
-    sender = inner.spawn(idle, None)
-    for aid in reversed(receivers):
-        inner.interpret_action(aid, PatchAction(Patch({observe(rec("m", WILDCARD))}, ())))
-    net.run_until_quiescent(100)
-    assert not net.queue and not inner.queue
-    inner.interpret_action(sender, MessageAction(rec("m", 1)))
-    assert list(net.queue) == [(inner.path, _TICK)]
-    assert list(inner.queue) == [(aid, MessageEvent(rec("m", 1))) for aid in receivers]
-    # a second fan-out before any dispatch joins the child queue, not the tick
-    inner.interpret_action(sender, MessageAction(rec("m", 2)))
-    assert list(net.queue) == [(inner.path, _TICK)]
-    assert list(inner.queue) == [
-        (aid, MessageEvent(rec("m", i))) for i in (1, 2) for aid in receivers
-    ]
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -648,7 +626,7 @@ def assert_crashed_cleanly(net, aid, detail):
     crashes = [
         e["data"]
         for e in net.trace.entries
-        if e["actor"] == net._label(aid) and e["kind"] == "crash"
+        if e["actor"] == f"g/{aid}" and e["kind"] == "crash"
     ]
     assert crashes == [detail]
     net.check_visibility()
@@ -902,7 +880,7 @@ def test_a_pick_of_the_last_actor_keeps_that_actors_events_in_order():
     told = [
         e["data"]
         for e in net.trace.entries
-        if e["kind"] == "patch-in" and e["actor"] == net._label(watcher)
+        if e["kind"] == "patch-in" and e["actor"] == f"g/{watcher}"
     ]
     one = to_jsonable(rec("x", 1))
     assert told[-2:] == [{"added": [one], "removed": []}, {"added": [], "removed": [one]}]
@@ -917,8 +895,8 @@ def test_terminating_an_unknown_actor_does_nothing():
     net = new_network()
     net.spawn(idle, None)
     before = list(net.trace.entries)
-    net.terminate_actor((7,))
-    assert list(net.trace.entries) == before and list(net.actors) == [(0,)]
+    net.terminate_actor(7)
+    assert list(net.trace.entries) == before and list(net.actors) == [0]
 
 
 def test_determinism_identical_traces():
@@ -931,152 +909,61 @@ def test_determinism_identical_traces():
     assert run() == run()
 
 
-# -- nested networks ---------------------------------------------------------------
+# -- actor ids and separate networks ---------------------------------------------
 
 
-def test_nested_network_keeps_assertions_private():
-    net = new_network()
-    inner = net.spawn_nested()
-    build_bank_account_plain(inner)
-    net.run_until_quiescent(200)
-    assert account(70) in inner.aggregate
-    assert not any(
-        rec("account", WILDCARD) == a or a == account(70) for a in net.aggregate
-    )
-    assert not net.aggregate
-
-
-def test_sibling_nested_networks_run_independently():
-    net = new_network()
-    left = net.spawn_nested()
-    right = net.spawn_nested()
-    build_bank_account_plain(left)
-    build_bank_account_plain(right)
-    net.run_until_quiescent(400)
-    assert account(70) in left.aggregate
-    assert account(70) in right.aggregate
-
-    def normalized(prefix):
-        return [
-            (e["actor"].replace(prefix, "N", 1), e["kind"], repr(e["data"]))
-            for e in net.trace.entries
-            if e["actor"].startswith(prefix + "/")
-        ]
-
-    assert normalized("g/0") == normalized("g/1")
-
-
-def test_sibling_nested_reactive_scenarios_are_independent():
-    from dataspace.scenarios import build_bank_account_reactive
+def test_an_actor_id_is_the_int_its_network_counts_at_spawn():
+    # a startup spawn and a reactive state's host take the next ints too:
+    # ids go 0, 1, 2, ... in spawn order, and each actor is traced as g/<aid>
+    def script(ctx):
+        yield forever()
 
     net = new_network()
-    left = net.spawn_nested()
-    right = net.spawn_nested()
-    build_bank_account_reactive(left)
-    build_bank_account_reactive(right)
-    net.run_until_quiescent(800)
-    assert account(70) in left.aggregate
-    assert account(70) in right.aggregate
-    net.check_visibility()
+    returned = []
+    spawn = net.spawn
+
+    def recording(*args):
+        returned.append(spawn(*args))
+        return returned[-1]
+
+    net.spawn = recording  # interpret_action spawns through it too
+    assert net.spawn(idle, None, [SpawnAction(idle, None)]) == 0  # its child is 1
+    assert reactive_actor(net, script) == 2  # its state host is 3
+    net.run_until_quiescent(20)
+    assert net.spawn(idle, None) == 4
+    assert sorted(returned) == list(net.actors) == [0, 1, 2, 3, 4]
+    assert all(type(aid) is int for aid in net.actors)
+    spawned = [e["actor"] for e in net.trace.entries if e["kind"] == "spawn"]
+    assert spawned == [f"g/{aid}" for aid in range(5)]
+    assert [e.label for e in net.actors.values()] == spawned
+    net.terminate_actor(1)
+    before = list(net.trace.entries)
+    for unknown in (1, 5, -1):
+        net.terminate_actor(unknown)
+    assert list(net.trace.entries) == before and list(net.actors) == [0, 2, 3, 4]
 
 
-def test_terminate_nested_network_drops_descendants():
-    net = new_network()
-    inner = net.spawn_nested()
-    build_bank_account_plain(inner)
-    net.run_until_quiescent(200)
-    events = []
-
-    def monitor(event, state):
-        events.append(event)
-        return None
-
-    net.spawn(monitor, None, [PatchAction(Patch({observe(WILDCARD)}, ()))])
-    net.run_until_quiescent(10)
-    events.clear()
-    net.terminate_actor(inner.path)
-    net.run_until_quiescent(10)
-    assert not inner.actors and not inner.aggregate
-    assert events == []  # the network actor asserted nothing upward
-
-
-def test_terminating_a_nested_network_quits_its_nested_networks_innermost_first():
-    net = new_network()
-    outer = net.spawn_nested()
-    inner = outer.spawn_nested()
-    build_bank_account_plain(inner)
-    net.run_until_quiescent(200)
-    assert inner.path == (0, 0) and sorted(inner.actors) == [(0, 0, 0), (0, 0, 1)]
-    start = len(net.trace.entries)
-    net.terminate_actor(outer.path)
-    assert [(e["actor"], e["kind"]) for e in net.trace.entries[start:]] == [
-        ("g/0/0/0", "quit"),
-        ("g/0/0/1", "quit"),
-        ("g/0/0", "quit"),
-        ("g/0", "quit"),
-    ]
-    assert not inner.actors and not inner.queue
-    net.check_visibility()
-
-
-def test_a_stale_nested_tick_is_a_dispatch_that_does_nothing():
-    # the inner actor sends ping, which it observes itself, and quits in the
-    # same step: its quit drops the queued ping, so the tick that ping queued
-    # in the ground network finds the inner queue empty
-    net = new_network()
-    inner = net.spawn_nested()
-    go, ping = Sym("go"), Sym("ping")
-
-    def step(event, state):
-        return Continue(state, [MessageAction(ping), QUIT])
-
-    startup = [PatchAction(Patch({observe(go), observe(ping)}, ())), MessageAction(go)]
-    inner.spawn(step, None, startup)
-    assert net.run_until_quiescent(10, after_step=net.check_visibility) == 2
-    interests = [["observe", "'go"], ["observe", "'ping"]]
-    assert [(e["actor"], e["kind"], e["data"]) for e in net.trace.entries] == [
-        ("g/0", "spawn", None),
-        ("g/0/0", "spawn", None),
-        ("g/0/0", "patch-out", {"added": interests, "removed": []}),
-        ("g/0/0", "message", "'go"),
-        ("g/0/0", "message", "'ping"),
-        ("g/0/0", "patch-out", {"added": [], "removed": interests}),
-        ("g/0/0", "quit", None),
-    ]
-    assert not inner.actors and not inner.queue and not net.queue
-    net.check_visibility()
-
-
-def test_a_quit_nested_network_refuses_spawns_and_queues_nothing():
-    # a spawn into it would queue a tick for an aid its parent no longer holds
-    net = new_network()
-    inner = net.spawn_nested()
-    deeper = inner.spawn_nested()
-    net.terminate_actor(inner.path)
-    entries = list(net.trace.entries)
-    interest = [PatchAction(Patch({observe(Sym("x"))}, ()))]
-    with pytest.raises(RuntimeError, match="network g/0 has quit"):
-        inner.spawn(idle, None, interest)
-    with pytest.raises(RuntimeError, match="network g/0 has quit"):
-        inner.spawn_nested()
-    with pytest.raises(RuntimeError, match="network g/0/0 has quit"):
-        deeper.spawn(idle, None, interest)
-    assert list(net.trace.entries) == entries
-    assert not net.queue and not inner.actors and not deeper.actors
-    assert net.run_until_quiescent(10) == 0
-    net.check_visibility()
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_two_networks_run_independently(name):
+    # each network has its own dataspace, aids, handshake ids and trace: two
+    # copies of a scenario run in turns each write the trace it writes alone
+    left, right = new_network(), new_network()
+    SCENARIOS[name](left)
+    SCENARIOS[name](right)
+    while any([left.dispatch_one(), right.dispatch_one()]):
+        left.check_visibility()
+        right.check_visibility()
+    alone = run_scenario(name)[1]
+    assert left.trace.lines() == alone and right.trace.lines() == alone
 
 
 def test_trace_replay_holds_only_the_ground_dataspace():
-    # a nested dataspace is private, and terminating its network writes no
-    # retractions, so replaying its actors' patches would keep (account 70)
+    # an actor labelled g/0/0 is no ground actor: replay skips its patch-outs
     net = new_network()
-    inner = net.spawn_nested()
-    build_bank_account_plain(inner)
     net.spawn(idle, None, [PatchAction(Patch({rec("account", 5)}, ()))])
-    net.run_until_quiescent(200)
-    net.terminate_actor(inner.path)
-    snaps = aggregate_snapshots(net.trace.lines(), rec("account", WILDCARD))
+    data = {"added": [to_jsonable(account(70))], "removed": []}
+    inner = json.dumps({"seq": 9, "actor": "g/0/0", "kind": "patch-out", "data": data})
+    snaps = aggregate_snapshots([inner, *net.trace.lines()], rec("account", WILDCARD))
     assert snaps == [frozenset(), frozenset({rec("account", 5)})]
     assert snaps[-1] == frozenset(net.aggregate)
 
@@ -1173,25 +1060,21 @@ def player(event, state):
 
 
 def run_random_program(seed, check=Network.check_visibility, *, fifo=False, network=new_network):
-    """2-7 players, some in one nested network, driven by random actions.
+    """2-7 players, driven by random actions.
 
-    check, unless None, runs on the ground network after every dispatch.
+    check, unless None, runs on the network after every dispatch.
     Actors take turns in a random order, or events go oldest first with fifo.
-    network() builds the ground network.
+    network() builds the network.
     """
     rng = random.Random(seed)
     net = network()
     after_step = None if check is None else (lambda: check(net))
     pick = None if fifo else rng.randrange
-    inner = net.spawn_nested()
     for _ in range(rng.randint(2, 7)):
-        host = rng.choice((net, inner))
-        host.spawn(player, (random.Random(rng.random()), 3), [random_action(rng)])
+        net.spawn(player, (random.Random(rng.random()), 3), [random_action(rng)])
     for _ in range(20):
-        host = rng.choice((net, inner))
-        players = [aid for aid, e in host.actors.items() if e.behaviour is not _step_nested]
-        if players:
-            host.interpret_action(rng.choice(players), random_action(rng, budget=2))
+        if net.actors:
+            net.interpret_action(rng.choice(list(net.actors)), random_action(rng, budget=2))
         net.run_until_quiescent(2000, pick=pick, after_step=after_step)
     return net
 
@@ -1215,14 +1098,7 @@ def test_patch_ins_replay_to_what_each_actor_sees(fifo):
     # Each actor takes its own events oldest first, whatever is picked, so
     # its patch-ins arrive in the order its bag crossed: at each quiescence,
     # replayed from the trace, each one adds only what the actor did not see
-    # and removes only what it did, and together they give what it sees, in
-    # every network of the tree
-    def same_as_replayed(net, replayed):
-        for e in net.actors.values():
-            assert replayed.get(e.label, set()) == e.seen.keys(), e.label
-            if e.behaviour is _step_nested:
-                same_as_replayed(e.state, replayed)
-
+    # and removes only what it did, and together they give what it sees
     for seed in range(300):
         replayed = {}  # actor label -> the patch-ins it was told, applied in order
         done = 0  # trace entries replayed so far
@@ -1241,7 +1117,8 @@ def test_patch_ins_replay_to_what_each_actor_sees(fifo):
                     held -= removed
                     held |= added
             done = len(entries)
-            same_as_replayed(net, replayed)
+            for e in net.actors.values():
+                assert replayed.get(e.label, set()) == e.seen.keys(), e.label
 
         replay(run_random_program(seed, check=replay, fifo=fifo))
 
@@ -1254,12 +1131,12 @@ class BruteForceNetwork(Network):
     message goes to every actor with an interest that matches it.  Interests
     are read with ``observed``, one per observe assertion, so 1 and #t stay
     two.  It overrides routing alone, ``_fan_out`` and ``_send_message``:
-    admission, nesting, the dispatcher, the actor table and the trace are
-    Network's, and it uses none of the indexes, the bags or ``crossings``.
+    admission, the dispatcher, the actor table and the trace are Network's,
+    and it uses none of the indexes, the bags or ``crossings``.
     """
 
-    def __init__(self, **kw):
-        super().__init__(**kw)
+    def __init__(self):
+        super().__init__()
         self.told: dict = {}  # aid -> what the actor was last told it sees
 
     def _fan_out(self, aid, clamped):
@@ -1307,85 +1184,51 @@ def patches(held=()):
     )
 
 
-def alive(net):
-    """Whether net is the ground network or every network around it still hosts it."""
-    parent = net._parent
-    return parent is None or (net.path in parent.actors and alive(parent))
-
-
 class LockstepRouting(RuleBasedStateMachine):
     """Network and BruteForceNetwork driven by the same rules, trace line for line.
 
-    The networks of both sides are kept in pairs, the ground pair first; an
-    actor has the same aid on both sides.  After every rule the trace lines
-    it added are the same on both sides, and the production network passes
-    the visibility oracle, so a failure shrinks to a short program.
+    An actor has the same aid on both sides.  After every rule the trace
+    lines it added are the same on both sides, and the production network
+    passes the visibility oracle, so a failure shrinks to a short program.
     """
 
     def __init__(self):
         super().__init__()
-        ground = (new_network(), BruteForceNetwork())
-        self.hosts = [ground, tuple(net.spawn_nested() for net in ground)]
+        self.nets = (new_network(), BruteForceNetwork())
         self.compared = 0  # trace entries compared so far
 
-    def live_hosts(self):
-        return [pair for pair in self.hosts if alive(pair[0])]
-
-    def live_actors(self):
-        # (host pair, aid, is a player) for every actor of a live network
-        return [
-            (pair, aid, e.behaviour is player)
-            for pair in self.live_hosts()
-            for aid, e in pair[0].actors.items()
-        ]
-
-    @rule(
-        host=st.integers(0, 7),
-        seed=st.integers(0, 2**16),
-        budget=st.integers(0, 3),
-        startup=patches(),
-    )
-    def spawn(self, host, seed, budget, startup):
-        hosts = self.live_hosts()
-        for net in hosts[host % len(hosts)]:
+    @rule(seed=st.integers(0, 2**16), budget=st.integers(0, 3), startup=patches())
+    def spawn(self, seed, budget, startup):
+        for net in self.nets:
             net.spawn(player, (random.Random(seed), budget), [startup])
 
-    @precondition(lambda self: self.live_actors())
+    @precondition(lambda self: self.nets[0].actors)
     @rule(actor=st.integers(0, 15), data=st.data())
     def act(self, actor, data):
-        # a nested network's actor only quits
-        live = self.live_actors()
-        pair, aid, is_player = live[actor % len(live)]
-        action = QUIT
-        if is_player:
-            held = sort_patterns(pair[0].actors[aid].asserted)
-            messages = st.sampled_from(GROUND).map(MessageAction)
-            action = data.draw(st.one_of(patches(held), messages, st.just(QUIT)))
-        for net in pair:
+        actors = self.nets[0].actors
+        aid = list(actors)[actor % len(actors)]
+        held = sort_patterns(actors[aid].asserted)
+        messages = st.sampled_from(GROUND).map(MessageAction)
+        action = data.draw(st.one_of(patches(held), messages, st.just(QUIT)))
+        for net in self.nets:
             net.interpret_action(aid, action)
 
     @rule()
     def dispatch_one(self):
-        ran = [net.dispatch_one() for net in self.hosts[0]]
+        ran = [net.dispatch_one() for net in self.nets]
         assert ran[0] == ran[1]
 
     @rule(seed=st.integers(0, 2**16))
     def run_until_quiescent(self, seed):
-        for net in self.hosts[0]:
+        for net in self.nets:
             net.run_until_quiescent(2000, pick=random.Random(seed).randrange)
-
-    @precondition(lambda self: len(self.hosts) < 4)  # players meet in few networks
-    @rule(host=st.integers(0, 7))
-    def spawn_nested(self, host):
-        hosts = self.live_hosts()
-        self.hosts.append(tuple(net.spawn_nested() for net in hosts[host % len(hosts)]))
 
     @invariant()
     def traces_agree(self):
-        got, want = (TraceLog(net.trace.entries[self.compared :]) for net in self.hosts[0])
+        got, want = (TraceLog(net.trace.entries[self.compared :]) for net in self.nets)
         assert got.lines() == want.lines()
         self.compared += len(got.entries)
-        self.hosts[0][0].check_visibility()
+        self.nets[0].check_visibility()
 
 
 # about 4 s when it passes; a failure reports one shrunk example, without
@@ -1401,25 +1244,19 @@ TestLockstepRouting = LockstepRouting.TestCase
 
 
 def check_message_routing(net):
-    """Each ground value's receivers, from the interests index and from a recount.
-
-    Nested networks are checked in turn.
-    """
+    """Each ground value's receivers, from the interests index and from a recount."""
     for v in GROUND:
         expect = sorted(
             bid
             for bid, e in net.actors.items()
             if any(matches(p, v) for p in observed(e.asserted))
         )
-        assert net.interests.holders(v) == tuple(expect), (net.path, v)
-    for e in net.actors.values():
-        if e.behaviour is _step_nested:
-            check_message_routing(e.state)
+        assert net.interests.holders(v) == tuple(expect), v
 
 
 def test_messages_reach_exactly_their_interested_actors_under_randomized_dispatch():
     # the lookups themselves keep receiver lists, which must follow every
-    # later change of interests in the tree
+    # later change of interests
     for seed in range(300):
         run_random_program(seed, check=check_message_routing)
 
@@ -1445,13 +1282,13 @@ def test_kept_receiver_lists_are_bounded_by_the_filed_buckets_and_die_with_the_i
 
     # every (tick i) but (tick 5) finds its bucket unfiled, so those 9,999
     # share their slot's one list
-    net = new_network()
-    inner = net.spawn_nested()
+    net, other = new_network(), new_network()
     listen(net, [rec("tick", WILDCARD)] * 3 + [rec("tick", 5)], 10_000)
-    listen(inner, [rec("tick", WILDCARD)], 100)
+    listen(other, [rec("tick", WILDCARD)], 100)
     net.run_until_quiescent(50_000)
+    other.run_until_quiescent(500)
     assert sum(got.values()) == 3 * 10_000 + 1 + 100
-    for index in (net.interests, inner.interests):
+    for index in (net.interests, other.interests):
         filed = sum(map(len, index._slots.values())) + len(index._slots)
         assert 0 < kept_lists(index) <= filed
     # with no top-level wildcard filed, a message whose slot no interest files
@@ -1481,8 +1318,9 @@ def test_kept_receiver_lists_are_bounded_by_the_filed_buckets_and_die_with_the_i
     assert kept_lists(net.interests) == 0
     net.interests.clear()
     assert kept_lists(net.interests) == 0
-    net.terminate_actor(inner.path)
-    assert kept_lists(inner.interests) == 0
+    # so does unfiling one, as a quit does
+    other.terminate_actor(0)
+    assert kept_lists(other.interests) == 0
 
 
 def test_trace_lines_of_random_programs_are_the_json_dumps_of_each_entry():
@@ -1510,8 +1348,7 @@ def test_trace_lines_render_every_entry_kind_exactly():
             OutputAction(rec("note", False, Sym("s"))),
         ],
     )
-    inner = net.spawn_nested()
-    inner.spawn(idle, None, [PatchAction(Patch({rec("note", 0)}, ()))])
+    net.spawn(idle, None, [PatchAction(Patch({rec("note", 0)}, ()))])
     net.run_until_quiescent(20)
     net.interpret_action(watcher, MessageAction(rec("poke")))
     net.run_until_quiescent(20)
@@ -1567,28 +1404,25 @@ def test_aggregate_matches_per_actor_sets_at_quiescence():
 @pytest.mark.parametrize(
     "corrupt, drift",
     [
-        ("visible-set", "visible-set drift at g/2: "),
-        ("visible-count", r"visible-count drift at g/2: \(account 70\) counted 2, not 1"),
+        ("visible-set", "visible-set drift at g/1: "),
+        ("visible-count", r"visible-count drift at g/1: \(account 70\) counted 2, not 1"),
         ("aggregate", "aggregate drift at g: "),
-        ("nested-aggregate", "aggregate drift at g/0: "),
     ],
-    ids=["visible-set", "visible-count", "aggregate", "nested-aggregate"],
+    ids=["visible-set", "visible-count", "aggregate"],
 )
 def test_visibility_oracle_detects_drift(corrupt, drift):
     net = new_network()
-    inner = net.spawn_nested()
-    build_bank_account_plain(inner)
     build_bank_account_plain(net)
     net.run_until_quiescent(400)
     net.check_visibility()
     if corrupt == "visible-set":
-        net.actors[(2,)].seen.clear()  # the balance observer
+        net.actors[1].seen.clear()  # the balance observer
     elif corrupt == "visible-count":
         # a second claim on a visible assertion: the set stays, the count drifts
-        net.actors[(2,)].seen[account(70)] += 1
+        net.actors[1].seen[account(70)] += 1
     else:
         # a second claim on a held assertion: the support stays, the count drifts
-        (net if corrupt == "aggregate" else inner).aggregate[account(70)] += 1
+        net.aggregate[account(70)] += 1
     with pytest.raises(VisibilityMismatch, match=drift):
         net.check_visibility()
 
@@ -1752,14 +1586,14 @@ class DrawingHook:
 
 def test_on_spawn_draws_from_its_own_networks_id_source():
     net = new_network()
-    first, second, inner = DrawingHook(), DrawingHook(), DrawingHook()
+    first, second, elsewhere = DrawingHook(), DrawingHook(), DrawingHook()
     net.spawn(idle, first)
-    child = net.spawn_nested()
-    child.spawn(idle, inner)
+    other = new_network()
+    other.spawn(idle, elsewhere)
     net.spawn(idle, second)
     assert first.drawn == [0, 1] and second.drawn == [2, 3]
-    assert inner.drawn == [0, 1]  # a nested network counts again from 0
-    assert len(net.actors) == 3 and len(child.actors) == 1
+    assert elsewhere.drawn == [0, 1]  # another network counts again from 0
+    assert len(net.actors) == 2 and len(other.actors) == 1
     assert not hasattr(net, "fresh_handshake_id")
 
 
@@ -1797,7 +1631,7 @@ def test_bad_child_spawn_crashes_the_child_alone(state, startup, detail):
     net = new_network()
     parent = net.spawn(idle, None, [SpawnAction(idle, state, startup), OutputAction(1)])
     assert parent in net.actors
-    assert_crashed_cleanly(net, (1,), detail)
+    assert_crashed_cleanly(net, 1, detail)
     assert [e["kind"] for e in net.trace.entries] == [
         "spawn",
         "spawn",
@@ -1895,7 +1729,7 @@ def play_misbehaving(scripts, rng=None):
     for e in net.trace.entries:
         if e["kind"] in ("spawn", "quit", "crash"):
             ends.setdefault(e["actor"], []).append(e["kind"])
-    live = {net._label(aid) for aid in net.actors}
+    live = {e.label for e in net.actors.values()}
     for label, kinds in ends.items():
         assert kinds[0] == "spawn" and len(kinds) == (1 if label in live else 2), label
     # a capture hole is not a value: it never reaches the dataspace or the trace

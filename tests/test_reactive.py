@@ -530,7 +530,7 @@ def test_capture_in_surface_pattern_crashes_the_script():
     script_id = reactive_actor(net, script)
     net.run_until_quiescent(20)
     crashes = [e for e in net.trace.entries if e["kind"] == "crash"]
-    assert [e["actor"] for e in crashes] == [net._label(script_id)]
+    assert [e["actor"] for e in crashes] == [f"g/{script_id}"]
     assert "TypeError: not a pattern" in crashes[0]["data"]
     assert not net.actors
 
@@ -567,7 +567,7 @@ def test_wildcard_under_binder_crashes_actor():
     net.interpret_action(asserter, PatchAction(Patch({rec("x", WILDCARD)}, ())))
     net.run_until_quiescent(30)
     assert crashes(net) == [("g/1", "CaptureUnbounded: wildcard under capture hole: _")]
-    assert asserter in net.actors and (0,) in net.actors
+    assert asserter in net.actors and 0 in net.actors
     assert net.aggregate[rec("x", WILDCARD)] == 1  # the peer's assertion stays
     net.check_visibility()
 
@@ -665,7 +665,7 @@ def test_script_yielding_a_non_state_crashes_the_script():
     script_id = reactive_actor(net, script)
     net.run_until_quiescent(10)
     assert crashes(net) == [
-        (net._label(script_id), "TypeError: script yielded 42; expected a state spec")
+        (f"g/{script_id}", "TypeError: script yielded 42; expected a state spec")
     ]
     assert not net.actors
 
@@ -682,7 +682,7 @@ def test_a_bad_spawn_argument_crashes_the_script_and_spawns_no_child(script, err
     net = new_network()
     script_id = reactive_actor(net, script)
     net.run_until_quiescent(10)
-    assert crashes(net) == [(net._label(script_id), f"TypeError: {error}")]
+    assert crashes(net) == [(f"g/{script_id}", f"TypeError: {error}")]
     assert trace_kinds(net) == ["spawn", "crash"]
     assert not net.actors
 

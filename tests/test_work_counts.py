@@ -35,14 +35,9 @@ HERE = Path(__file__).resolve().parent
 COUNTS = HERE / "work_counts.json"
 WORKLOADS_PY = HERE.parent / "bench" / "workloads.py"
 WORKLOAD_NAMES = ("presence", "broadcast", "sessions")
-NESTED = "nested-bank-account-plain"
-PROGRAMS = (*SCENARIOS, NESTED, *WORKLOAD_NAMES)
+PROGRAMS = (*SCENARIOS, *WORKLOAD_NAMES)
 STEP_BUDGET = 100_000  # per workload round, as the benchmark allows
 INLINED = {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
-
-
-def idle(event, state):
-    return None
 
 
 def play_scenario(name):
@@ -50,22 +45,6 @@ def play_scenario(name):
 
     net = new_network()
     SCENARIOS[name](net)
-    net.run_until_quiescent(MAX_STEPS)
-
-
-def play_nested():
-    # a nested network's fan-outs queue one tick in its parent between
-    # dispatches, however many of them there are
-    from dataspace import MessageAction, new_network, rec
-    from dataspace.scenarios import build_bank_account_plain
-
-    net = new_network()
-    inner = net.spawn_nested()
-    build_bank_account_plain(inner)
-    net.run_until_quiescent(MAX_STEPS)
-    sender = inner.spawn(idle, None)
-    inner.interpret_action(sender, MessageAction(rec("deposit", 5)))
-    inner.interpret_action(sender, MessageAction(rec("deposit", 7)))
     net.run_until_quiescent(MAX_STEPS)
 
 
@@ -95,8 +74,6 @@ def count_calls(program: str) -> dict:
     package = Path(dataspace.__file__).resolve().parent
     if program in WORKLOAD_NAMES:
         run = lambda: play_workload(program)
-    elif program == NESTED:
-        run = play_nested
     else:
         run = lambda: play_scenario(program)
     # the cyclic collector runs after so many allocations, and what it frees
