@@ -957,6 +957,33 @@ def test_two_networks_run_independently(name):
     assert left.trace.lines() == alone and right.trace.lines() == alone
 
 
+def test_nested_network_keeps_assertions_private():
+    # the name dates from nested networks; the isolation is now between two
+    # networks: an observer of (account _) in one never sees the other's
+    net, other = new_network(), new_network()
+    seen = []
+    watch = observe(rec("account", WILDCARD))
+    other.spawn(recorder(seen), None, [PatchAction(Patch({watch}, ()))])
+    build_bank_account_plain(net)
+    net.run_until_quiescent(200)
+    other.run_until_quiescent(10)
+    assert account(70) in net.aggregate
+    assert seen == [] and dict(other.aggregate) == {watch: 1}
+    assert not any(rec("account", WILDCARD) == a for a in other.aggregate)
+
+
+def test_sibling_nested_networks_run_independently():
+    # the name dates from nested networks: two bank accounts, each in its own
+    # network and run in turns, reach the same balance with the same trace
+    left, right = new_network(), new_network()
+    build_bank_account_plain(left)
+    build_bank_account_plain(right)
+    while any([left.dispatch_one(), right.dispatch_one()]):
+        pass
+    assert account(70) in left.aggregate and account(70) in right.aggregate
+    assert left.trace.lines() == right.trace.lines()
+
+
 def test_trace_replay_holds_only_the_ground_dataspace():
     # an actor labelled g/0/0 is no ground actor: replay skips its patch-outs
     net = new_network()
