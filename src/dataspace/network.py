@@ -27,9 +27,9 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-# apply_patch, delta, interests_of and matches are unused here: the traced
-# benchmark (bench/spans.py) wraps them by this module's name, as it does
-# visible (Index.matching confirms inside patches, so its matches count reads 0)
+# apply_patch, delta and matches are unused here: the traced benchmark
+# (bench/spans.py) wraps them by this module's name, as it does visible and
+# interests_of (Index.matching confirms inside patches, so the matches count reads 0)
 from .patches import (
     Index,
     Patch,
@@ -327,7 +327,7 @@ class Network:
                     event = events[key] = PatchEvent(clamped if key == own else Patch(*key))
                 groups[got] = event
             pairs.append((bid, event))
-        self._enqueue(pairs)
+        self.queue.extend(pairs)
 
     def _emit_ground(self, aid, kind: str, value) -> None:
         # messages and displayed output carry ground values only
@@ -338,13 +338,9 @@ class Network:
     def _send_message(self, sender, body) -> None:
         self._emit_ground(sender, "message", body)
         event = MessageEvent(body)  # one event for every receiver
-        self._enqueue([(bid, event) for bid in self.interests.holders(body)])
+        self.queue.extend([(bid, event) for bid in self.interests.holders(body)])
 
     # -- scheduling -----------------------------------------------------------
-
-    def _enqueue(self, pairs: list) -> None:
-        # a fan-out's (aid, event) pairs, in aid order, join the queue in one append
-        self.queue.extend(pairs)
 
     def dispatch_one(self) -> bool:
         """Deliver the oldest queued event to its actor; False when quiescent.
@@ -448,7 +444,7 @@ class Network:
                 f"{dict(self.aggregate)} != {dict(recount)}"
             )
         for entry in self.actors.values():
-            interests = tuple(observed(entry.asserted))
+            interests = interests_of(entry.asserted)
             expect = visible(self.aggregate, interests)
             if expect != entry.seen.keys():
                 raise VisibilityMismatch(

@@ -203,8 +203,8 @@ class Index:
     the slot if it is filed, else the wildcard, then the bucket if that slot
     files it, else the wildcard.  Every query with one key reaches the same
     buckets, and there are never more kept lists than filed buckets plus
-    filed slots.  Filing or unfiling any pattern drops every kept list, as
-    :meth:`clear` does: interests change far less often than messages flow.
+    filed slots.  Filing or unfiling any pattern drops every kept list:
+    interests change far less often than messages flow.
     """
 
     def __init__(self):
@@ -232,10 +232,6 @@ class Index:
             del buckets[bucket]
             if not buckets:
                 del self._slots[slot]
-
-    def clear(self) -> None:
-        self._slots.clear()
-        self._kept.clear()
 
     def _reach(self, q) -> tuple[list, bool]:
         # the pairs q's keys reach, slots then buckets, whose pattern
@@ -276,7 +272,7 @@ class Index:
         """The distinct holders of the patterns that intersect q, sorted.
 
         The answer is kept as the class docstring says, until the next
-        :meth:`add`, :meth:`remove` or :meth:`clear`.  A query with a
+        :meth:`add` or :meth:`remove`.  A query with a
         wildcard key keeps none: no one key stands for all it reaches.
         """
         slot, bucket, _ = _slot_keys(q)

@@ -1,9 +1,9 @@
 """Deterministic trace log and trace replay helpers.
 
 The log keeps each entry as an ``(actor, kind, data)`` tuple; its ``seq`` is
-its position.  An entry reads as a flat JSON object {seq, actor, kind, data};
-assertion sets inside patches are sorted by the canonical ordering so two
-runs of the same program serialize byte-identically.  A line is put together
+its position in the log, from 0.  An entry reads as a flat JSON object {seq,
+actor, kind, data}; assertion sets inside patches are sorted by the canonical
+ordering so two runs of the same program serialize byte-identically.  A line is put together
 from its parts' texts, each record's from the text its form caches, and
 reads exactly as ``json.dumps(entry, separators=(",", ":"))`` would write
 it.  Entries may share a ``data`` object (a ``patch-out`` and its
@@ -35,19 +35,13 @@ class TraceLog:
 
     Each entry is kept as an ``(actor, kind, data)`` tuple, so emitting one
     builds no dict; :attr:`entries` builds the ``{seq, actor, kind, data}``
-    dicts when they are read.  Given entries read off another log (say the
-    slice ``log.entries[k:]``), the new log holds them with their own seqs.
+    dicts when they are read.  An entry's seq is its position in the log.
     """
 
-    __slots__ = ("_log", "_first")
+    __slots__ = ("_log",)
 
-    def __init__(self, entries=()):
-        self._first = entries[0]["seq"] if entries else 0
+    def __init__(self):
         self._log = []
-        for seq, e in enumerate(entries, self._first):
-            if e["seq"] != seq:
-                raise ValueError(f"entry seq {e['seq']} where {seq} comes next")
-            self._log.append((e["actor"], e["kind"], e["data"]))
 
     def emit(self, actor: str, kind: str, data) -> None:
         self._log.append((actor, kind, data))
@@ -57,7 +51,7 @@ class TraceLog:
         """The entries, oldest first: a read-only sequence whose every item
         read is a fresh ``{seq, actor, kind, data}`` dict.  A ``data`` object
         is the one emitted, shared with other entries and never to be changed."""
-        return _Entries(self._log, self._first)
+        return _Entries(self._log)
 
     def lines(self) -> list[str]:
         # each data object, label and kind is written once per call: the
@@ -66,7 +60,7 @@ class TraceLog:
         texts: dict = {}  # id(data) -> its text
         quoted: dict = {}  # label or kind -> its text
         out = []
-        for seq, (actor, kind, data) in enumerate(self._log, self._first):
+        for seq, (actor, kind, data) in enumerate(self._log):
             text = texts.get(id(data))
             if text is None:
                 text = texts[id(data)] = _data_text(data)
@@ -82,12 +76,11 @@ class TraceLog:
 
 class _Entries(Sequence):
     # a view of a log's tuples; an int index gives one entry's dict, a slice
-    # a list of them, each with the seq it has in the log
-    __slots__ = ("_log", "_first")
+    # a list of them, each with its position as its seq
+    __slots__ = ("_log",)
 
-    def __init__(self, log: list, first: int):
+    def __init__(self, log: list):
         self._log = log
-        self._first = first
 
     def __len__(self) -> int:
         return len(self._log)
@@ -100,7 +93,7 @@ class _Entries(Sequence):
 
     def _entry(self, i: int) -> dict:
         actor, kind, data = self._log[i]
-        return {"seq": self._first + i, "actor": actor, "kind": kind, "data": data}
+        return {"seq": i, "actor": actor, "kind": kind, "data": data}
 
 
 def _data_text(data) -> str:
