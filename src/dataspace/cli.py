@@ -11,7 +11,7 @@ import sys
 from importlib import resources
 
 from .network import NonQuiescent, VisibilityMismatch
-from .scenarios import MAX_STEPS, SCENARIOS, run_scenario
+from .scenarios import SCENARIOS, run_scenario
 
 __all__ = ["main"]
 
@@ -30,8 +30,8 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_run(name: str, max_steps, out) -> int:
-    _, lines = run_scenario(name, max_steps)
+def _cmd_run(name: str, out) -> int:
+    _, lines = run_scenario(name)
     text = "\n".join(lines) + "\n"
     if out:
         try:
@@ -69,16 +69,6 @@ def _cmd_check(name: str) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if n <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {n}")
-    return n
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="dataspace",
@@ -88,7 +78,6 @@ def main(argv=None) -> int:
     sub.add_parser("list", help="print known scenario names")
     p_run = sub.add_parser("run", help="run a scenario and emit its trace")
     p_run.add_argument("scenario")
-    p_run.add_argument("--max-steps", type=_positive_int, default=MAX_STEPS)
     p_run.add_argument("--out", default=None, help="write trace to a file")
     p_check = sub.add_parser(
         "check", help="run with the visibility oracle on and diff against the golden"
@@ -104,7 +93,7 @@ def main(argv=None) -> int:
         return 2
     try:
         if args.command == "run":
-            return _cmd_run(args.scenario, args.max_steps, args.out)
+            return _cmd_run(args.scenario, args.out)
         return _cmd_check(args.scenario)
     except NonQuiescent as exc:
         print(f"{args.scenario}: {exc}", file=sys.stderr)

@@ -347,9 +347,7 @@ SCENARIOS: dict[str, Callable[[Network], None]] = {
 }
 
 
-def run_scenario(
-    name: str, max_steps: int = MAX_STEPS, *, oracle: bool = False
-) -> tuple[Network, list[str]]:
+def run_scenario(name: str, *, oracle: bool = False) -> tuple[Network, list[str]]:
     """Build and run a scenario to quiescence in FIFO order; returns (network, trace lines).
 
     With oracle=True the aggregate counts and every actor's visible set are
@@ -360,7 +358,7 @@ def run_scenario(
     """
     net = new_network()
     SCENARIOS[name](net)
-    net.run_until_quiescent(max_steps, after_step=net.check_visibility if oracle else None)
+    net.run_until_quiescent(MAX_STEPS, after_step=net.check_visibility if oracle else None)
     return net, net.trace.lines()
 
 

@@ -4,11 +4,10 @@ The log keeps each entry as an ``(actor, kind, data)`` tuple; its ``seq`` is
 its position in the log, from 0.  An entry reads as a flat JSON object {seq,
 actor, kind, data}; assertion sets inside patches are sorted by the canonical
 ordering so two runs of the same program serialize byte-identically.  A line is put together
-from its parts' texts, each record's from the text its form caches, and
-reads exactly as ``json.dumps(entry, separators=(",", ":"))`` would write
-it.  Entries may share a ``data`` object (a ``patch-out`` and its
-``patch-in``s can share one patch form); one render writes each shared
-object, label and kind once.
+from its parts' texts, and reads exactly as ``json.dumps(entry,
+separators=(",", ":"))`` would write it.  A record's form and a patch's
+form (which a ``patch-out`` and its ``patch-in``s can share) each keep
+their text once first rendered; one render writes each label and kind once.
 """
 
 from __future__ import annotations
@@ -54,16 +53,16 @@ class TraceLog:
         return _Entries(self._log)
 
     def lines(self) -> list[str]:
-        # each data object, label and kind is written once per call: the
-        # log keeps every data object alive until the call returns, so no id
-        # is reused while the memo lives
-        texts: dict = {}  # id(data) -> its text
         quoted: dict = {}  # label or kind -> its text
         out = []
         for seq, (actor, kind, data) in enumerate(self._log):
-            text = texts.get(id(data))
-            if text is None:
-                text = texts[id(data)] = _data_text(data)
+            if type(data) is _PatchForm:
+                try:
+                    text = data.text
+                except AttributeError:
+                    text = data.text = _patch_text(data)
+            else:
+                text = json_text(data)
             a = quoted.get(actor)
             if a is None:
                 a = quoted[actor] = json_text(actor)
@@ -96,16 +95,16 @@ class _Entries(Sequence):
         return {"seq": i, "actor": actor, "kind": kind, "data": data}
 
 
-def _data_text(data) -> str:
-    # a patch's data is joined from its forms' texts; other data is encoded whole
-    if type(data) is dict and tuple(data) == ("added", "removed"):
-        added, removed = data["added"], data["removed"]
-        if type(added) is list and type(removed) is list:
-            return (
-                f'{{"added":[{",".join(map(json_text, added))}],'
-                f'"removed":[{",".join(map(json_text, removed))}]}}'
-            )
-    return json_text(data)
+class _PatchForm(dict):
+    __slots__ = ("text",)  # a patch's trace form keeps its canonical text once rendered
+
+
+def _patch_text(form: _PatchForm) -> str:
+    # joined from the records' texts, each encoded once for the whole log
+    return (
+        f'{{"added":[{",".join(map(json_text, form["added"]))}],'
+        f'"removed":[{",".join(map(json_text, form["removed"]))}]}}'
+    )
 
 
 def patch_jsonable(p: Patch) -> dict:
@@ -113,12 +112,13 @@ def patch_jsonable(p: Patch) -> dict:
 
     The form is computed once per patch and kept on it, so every entry made
     from one patch (the ``patch-in`` entries of one fan-out, and the sender's
-    ``patch-out`` when they see exactly its change) shares one dict, which
-    must not be mutated.  A form that raises is never kept.
+    ``patch-out`` when they see exactly its change) shares one form, a dict
+    that must not be mutated and that keeps its text once first rendered.
+    A form that raises is never kept.
     """
     form = p._json
     if form is None:
-        form = {"added": _forms(p.added), "removed": _forms(p.removed)}
+        form = _PatchForm(added=_forms(p.added), removed=_forms(p.removed))
         object.__setattr__(p, "_json", form)
     return form
 

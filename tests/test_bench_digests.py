@@ -5,6 +5,7 @@ against ``bench/digests.json`` and reports ``correct: false`` on a mismatch;
 running the same check here keeps it on every Python the tests run under.
 """
 
+import hashlib
 import importlib.util
 import json
 import sys
@@ -35,6 +36,9 @@ def bench_run():
 def test_bench_trace_matches_recorded_digest(bench_run, name):
     run, workloads = bench_run
     tally = run.Tally()
-    digest, _ = run.digest_run(workloads[name], tally)
+    digest, trace = run.digest_run(workloads[name], tally)
     assert tally.failed == 0
     assert digest == DIGESTS[name]
+    # a second render reads each form's kept text, and writes the same bytes
+    text = "\n".join(trace.lines()) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DIGESTS[name]

@@ -323,11 +323,11 @@ def test_releasing_what_a_receiver_does_not_hold_crashes_the_patcher():
 def test_a_render_joins_a_fan_outs_patch_text_as_often_for_one_receiver_as_for_many(
     monkeypatch,
 ):
-    # the patch-ins of a fan-out share the patch-out's form, and one render
-    # writes each shared form once
+    # the patch-ins of a fan-out share the patch-out's form, which keeps its
+    # text once joined, so a later render joins nothing
     joined = []
-    data_text = tracing._data_text
-    monkeypatch.setattr(tracing, "_data_text", lambda data: joined.append(data) or data_text(data))
+    patch_text = tracing._patch_text
+    monkeypatch.setattr(tracing, "_patch_text", lambda form: joined.append(form) or patch_text(form))
     counts = []
     for n in (1, 4, 32):
         net = new_network()
@@ -340,12 +340,15 @@ def test_a_render_joins_a_fan_outs_patch_text_as_often_for_one_receiver_as_for_m
         net.interpret_action(publisher, PatchAction(Patch({rec("presence", 1, 7)}, ())))
         net.run_until_quiescent(100)
         assert len(net.trace.entries) == mark + 1 + n
-        # the n observers' patch-outs share one interest patch, so the render
-        # of the whole trace joins as often for every n
+        # the n observers' patch-outs share one interest patch, so the first
+        # render of the whole trace joins as often for every n
         joined.clear()
-        assert net.trace.lines() == oracle_lines(net.trace)
+        first = net.trace.lines()
         counts.append(len(joined))
-    assert counts == [counts[0]] * 3, counts
+        joined.clear()
+        assert net.trace.lines() == first == oracle_lines(net.trace)
+        assert joined == []
+    assert counts[0] > 0 and counts == [counts[0]] * 3, counts
 
 
 def test_trace_entries_read_as_fresh_dicts_of_what_the_lines_say():

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 
@@ -290,6 +291,15 @@ def test_step_budget_is_exactly_the_dispatches_a_scenario_needs(name):
 def test_trace_lines_are_the_json_dumps_of_each_entry(name):
     net, lines = run_scenario(name)
     assert lines == oracle_lines(net.trace)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_a_second_render_writes_the_golden_again(name):
+    # the first render keeps each form's text; the second reads it back
+    golden = resources.files("dataspace").joinpath("goldens", f"{name}.jsonl").read_bytes()
+    net, first = run_scenario(name)
+    for lines in (first, net.trace.lines()):
+        assert ("\n".join(lines) + "\n").encode("utf-8") == golden
 
 
 def test_every_scenario_replays_byte_identically_after_allocation_churn():
