@@ -120,10 +120,6 @@ def _crash_detail(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _no_hook() -> None:
-    pass
-
-
 @dataclass
 class _ActorEntry:
     behaviour: Callable
@@ -371,57 +367,32 @@ class Network:
             self.terminate_actor(aid, _crash_detail(exc))
         return True
 
-    def run_until_quiescent(self, max_steps: int, *, pick=None, after_step=None) -> int:
+    def run_until_quiescent(self, max_steps: int, *, after_step=None) -> int:
         """Dispatch until the queue drains; NonQuiescent past max_steps.
 
         This is the only loop around :meth:`dispatch_one`, and it makes one
-        ``dispatch_one`` call per event.  pick chooses which actor goes next:
-        given the number n of actors with queued events, listed in the order
-        of their oldest queued event, it returns k with 0 <= k < n, and that
-        actor's oldest event is dispatched (default: the oldest event of
-        all).  So each actor takes its own events in the order they were
-        queued, whatever pick does; a k outside the range raises ValueError
-        before anything is dispatched.  pick is called only while the queue
-        is non-empty, and tests use it to explore alternative interleavings.
+        ``dispatch_one`` call per event, so events run oldest first.
         after_step, if given, runs after every dispatch; passing
         :meth:`check_visibility` recounts visibility from scratch each step.
-        Returns the number of dispatches made.  With neither hook the loop
-        calls ``dispatch_one`` alone; with either, one step closure bound here
-        runs the hooks around it, so no hook is tested per event.
+        Returns the number of dispatches made.  Without after_step the loop
+        calls ``dispatch_one`` alone; with it, one step closure bound here
+        calls both, so no hook is tested per event.
         """
         if max_steps <= 0:
             raise ValueError("max_steps must be positive")
-        queue = self.queue
         step = dispatch = self.dispatch_one
-        if pick is not None or after_step is not None:
-
-            def choose() -> None:
-                if queue:
-                    oldest: dict = {}  # actor -> the queue index of its oldest event
-                    for i, (aid, _) in enumerate(queue):
-                        oldest.setdefault(aid, i)
-                    k = pick(len(oldest))
-                    if not 0 <= k < len(oldest):
-                        raise ValueError(f"no queued event for pick {k} of {len(oldest)} actors")
-                    i = list(oldest.values())[k]
-                    pair = queue[i]  # the chosen event goes to the head, for dispatch_one
-                    del queue[i]
-                    queue.appendleft(pair)
-
-            before = choose if pick is not None else _no_hook
-            after = after_step if after_step is not None else _no_hook
+        if after_step is not None:
 
             def step() -> bool:
-                before()
                 if not dispatch():
                     return False
-                after()
+                after_step()
                 return True
 
         for steps in range(max_steps):
             if not step():
                 return steps
-        if queue:
+        if self.queue:
             raise NonQuiescent(max_steps)
         return max_steps
 
@@ -439,10 +410,7 @@ class Network:
         for entry in self.actors.values():
             recount.update(entry.asserted)
         if recount != self.aggregate:
-            raise VisibilityMismatch(
-                "aggregate drift at g: "
-                f"{dict(self.aggregate)} != {dict(recount)}"
-            )
+            raise VisibilityMismatch(f"aggregate drift: {dict(self.aggregate)} != {dict(recount)}")
         for entry in self.actors.values():
             interests = interests_of(entry.asserted)
             expect = visible(self.aggregate, interests)

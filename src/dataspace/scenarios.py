@@ -352,9 +352,7 @@ def run_scenario(name: str, *, oracle: bool = False) -> tuple[Network, list[str]
 
     With oracle=True the aggregate counts and every actor's visible set are
     recounted from scratch after every dispatch and compared with the ones
-    the network keeps (VisibilityMismatch on a difference).  To explore
-    other interleavings, build the scenario into a network and pass pick to
-    its run_until_quiescent.
+    the network keeps (VisibilityMismatch on a difference).
     """
     net = new_network()
     SCENARIOS[name](net)

@@ -131,16 +131,13 @@ def _forms(s: frozenset) -> list:
 def aggregate_snapshots(trace, lens) -> list[frozenset]:
     """Distinct snapshots of a network's dataspace visible through a lens pattern.
 
-    Replays the patch-out entries of the network's actors (labelled
-    ``g/N``) of a trace, given as its JSON lines, into an assertion bag and
-    records the support restricted to lens-matching assertions, collapsing
-    consecutive duplicates; an entry under any other label, such as
-    ``g/0/0``, is no actor's of that dataspace and is skipped.  Actor
-    identities are otherwise erased.  Raises MalformedText, as
-    canonical_decode does, on a line that is not JSON, nests too deeply to
-    read, or is no trace entry: an object with a string kind and actor,
-    whose data, for a ``g/N`` actor's patch-out, is an object with added
-    and removed lists.  Raises KeyError when the trace retracts
+    Replays the patch-out entries of a trace, given as its JSON lines, into
+    an assertion bag and records the support restricted to lens-matching
+    assertions, collapsing consecutive duplicates; actor identities are
+    erased.  Raises MalformedText, as canonical_decode does, on a line that
+    is not JSON, nests too deeply to read, or is no trace entry: an object
+    with a string kind and actor, whose data, for a patch-out, is an object
+    with added and removed lists.  Raises KeyError when the trace retracts
     something it never asserted.
     """
     bag: dict = {}
@@ -154,7 +151,7 @@ def aggregate_snapshots(trace, lens) -> list[frozenset]:
                 and type(entry.get("actor")) is str
             ):
                 raise MalformedText(f"not a trace entry: {line!r:.80}")
-            if entry["kind"] != "patch-out" or entry["actor"].count("/") != 1:
+            if entry["kind"] != "patch-out":
                 continue
             data = entry.get("data")
             if not (

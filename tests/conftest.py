@@ -140,6 +140,46 @@ def brute_force_project(assertions, proj):
     return sorted(out.values(), key=lambda caps: tuple(map(canonical_key, caps)))
 
 
+def run_picked(net, max_steps, pick, *, after_step=None):
+    """``net.run_until_quiescent``, with pick choosing which actor goes next.
+
+    Before each dispatch, while the queue is non-empty, ``pick(n)`` is given
+    the number n of actors with queued events, listed in the order of their
+    oldest queued event, and returns k with 0 <= k < n; that actor's oldest
+    event is dispatched.  So each actor takes its own events in the order
+    they were queued, whatever pick does.  A k outside the range raises
+    ValueError before anything is dispatched.  The pick runs inside
+    ``net.dispatch_one``, wrapped for this one run and restored after it,
+    so the runtime's loop stays the only loop.  Returns the number of
+    dispatches made.
+    """
+    queue, dispatch = net.queue, net.dispatch_one  # the queue is one deque for net's life
+
+    def picked() -> bool:
+        if queue:
+            oldest: dict = {}  # actor -> the queue index of its oldest event
+            for i, (aid, _) in enumerate(queue):
+                oldest.setdefault(aid, i)
+            k = pick(len(oldest))
+            if not 0 <= k < len(oldest):
+                raise ValueError(f"no queued event for pick {k} of {len(oldest)} actors")
+            i = list(oldest.values())[k]
+            pair = queue[i]  # the chosen event goes to the head, for dispatch_one
+            del queue[i]
+            queue.appendleft(pair)
+        return dispatch()
+
+    wrapped = vars(net).get("dispatch_one")  # a wrapper of the caller's, if any
+    net.dispatch_one = picked
+    try:
+        return net.run_until_quiescent(max_steps, after_step=after_step)
+    finally:
+        if wrapped is None:
+            del net.dispatch_one
+        else:
+            net.dispatch_one = wrapped
+
+
 @pytest.fixture
 def int_digit_limit():
     """Python's default limit on the digits of an integer written as text,

@@ -4,6 +4,7 @@ import json
 import random
 import time
 
+from conftest import run_picked
 from dataspace import (
     EMPTY_PATCH,
     MessageEvent,
@@ -183,9 +184,7 @@ def test_criterion_6_visibility_oracle_equivalence():
             rng = random.Random(seed)
             net = new_network()
             SCENARIOS[name](net)
-            net.run_until_quiescent(
-                MAX_STEPS, pick=rng.randrange, after_step=net.check_visibility
-            )
+            run_picked(net, MAX_STEPS, rng.randrange, after_step=net.check_visibility)
             runs += 1
     assert runs == 6 * 500
     _report(6, "3000 randomized dispatch sequences matched the from-scratch oracle")
