@@ -9,15 +9,15 @@ keeps a bag, a plain dict, counting per visible assertion how many of its
 interests intersect it.  :meth:`Network._apply_actor_patch` admits a patch
 and :meth:`Network._fan_out` decides what each of its receivers is told.  A
 message goes to the holders the interests index returns, sorted
-(:meth:`Index.holders`).
-``check_visibility`` recounts all of this from scratch as a test oracle.
-Scheduling is a single FIFO of (actor, event) pairs, so
-identical programs produce identical traces: a fan-out joins it in one
-append of its receivers' pairs, in aid order.  Each dispatch makes one
-call into actor code, ``behaviour(event, state)``, and ``spawn`` makes one
-for a state's ``on_spawn`` hook; whatever goes wrong from such a call to the
-end of its action list crashes that actor alone, with the detail
-:func:`_crash_detail` writes.
+(:meth:`Index.holders`).  ``check_visibility`` recounts all of this from
+scratch as a test oracle.  Scheduling is a single FIFO of (actor, event)
+pairs, so identical programs produce identical traces: a fan-out joins it
+in one append of its receivers' pairs, in aid order, and a quit leaves it
+as it is (aids only grow, so a gone actor's events are dropped unseen at
+the head).  Each dispatch makes one call into actor code, ``behaviour(event,
+state)``, and ``spawn`` makes one for a state's ``on_spawn`` hook; whatever
+goes wrong from such a call to the end of its action list crashes that
+actor alone, with the detail :func:`_crash_detail` writes.
 """
 
 from __future__ import annotations
@@ -142,8 +142,8 @@ class Network:
     """A dataspace plus the actors it contains.
 
     Use :func:`new_network` to make one.  Mutation happens only inside
-    ``dispatch_one``/``interpret_action``; confine each network to one
-    logical thread.
+    ``spawn``, ``terminate_actor``, ``interpret_action`` and
+    ``dispatch_one``; confine each network to one logical thread.
     """
 
     def __init__(self):
@@ -187,21 +187,14 @@ class Network:
         """Retract everything the actor asserted, notify, and remove it.
 
         With crash None the actor quits cleanly (a quit trace entry);
-        otherwise crash is the detail of its crash trace entry.
-        Pending queued events addressed to the actor are discarded; the
-        queue stays the same deque, the survivors in their order.
+        otherwise crash is the detail of its crash trace entry.  The queue
+        is not touched: :meth:`dispatch_one` drops the actor's events unseen.
         """
         entry = self.actors.get(aid)
         if entry is None:
             return
         self._apply_actor_patch(aid, Patch(frozenset(), entry.asserted))
         del self.actors[aid]
-        queue = self.queue
-        if queue:
-            kept = [pair for pair in queue if pair[0] != aid]
-            if len(kept) < len(queue):
-                queue.clear()
-                queue.extend(kept)
         self.trace.emit(entry.label, "quit" if crash is None else "crash", crash)
 
     # -- action interpretation ----------------------------------------------
@@ -339,39 +332,44 @@ class Network:
     # -- scheduling -----------------------------------------------------------
 
     def dispatch_one(self) -> bool:
-        """Deliver the oldest queued event to its actor; False when quiescent.
+        """Deliver the oldest event of a live actor; False when none is queued.
 
-        The event reaches its actor through one call, ``behaviour(event,
-        state)``.  Everything that goes wrong from there to the end of its
-        action list (a raise, a step result that is not Continue or None, a
-        bad action, a non-value) terminates the actor alone with a crash
-        entry.
+        A gone actor's events ahead of it are dropped unseen (no trace entry,
+        no dispatch), so the queue is empty when this returns False.  The
+        event reaches its actor through one call, ``behaviour(event, state)``.
+        Everything that goes wrong from there to the end of its action list
+        (a raise, a step result that is not Continue or None, a bad action, a
+        non-value) terminates the actor alone with a crash entry.
         """
         queue = self.queue
-        if not queue:
-            return False
-        aid, event = queue.popleft()
-        entry = self.actors[aid]
-        if type(event) is PatchEvent:
-            self.trace.emit(entry.label, "patch-in", patch_jsonable(event.patch))
-        try:
-            result = entry.behaviour(event, entry.state)
-            if result is None:
-                return True
-            if not isinstance(result, Continue):
-                raise TypeError(f"step result is not Continue or None: {result!r}")
-            entry.state = result.state
-            for act in result.actions:
-                self.interpret_action(aid, act)
-        except Exception as exc:
-            self.terminate_actor(aid, _crash_detail(exc))
-        return True
+        while queue:
+            aid, event = queue.popleft()
+            try:
+                entry = self.actors[aid]
+            except KeyError:  # the actor is gone
+                continue
+            if type(event) is PatchEvent:
+                self.trace.emit(entry.label, "patch-in", patch_jsonable(event.patch))
+            try:
+                result = entry.behaviour(event, entry.state)
+                if result is None:
+                    return True
+                if not isinstance(result, Continue):
+                    raise TypeError(f"step result is not Continue or None: {result!r}")
+                entry.state = result.state
+                for act in result.actions:
+                    self.interpret_action(aid, act)
+            except Exception as exc:
+                self.terminate_actor(aid, _crash_detail(exc))
+            return True
+        return False
 
     def run_until_quiescent(self, max_steps: int, *, after_step=None) -> int:
         """Dispatch until the queue drains; NonQuiescent past max_steps.
 
-        This is the only loop around :meth:`dispatch_one`, and it makes one
-        ``dispatch_one`` call per event, so events run oldest first.
+        This is the only loop around :meth:`dispatch_one`, one call per
+        event, so events run oldest first.  NonQuiescent means a live actor's
+        event is left after max_steps dispatches; a gone actor's are dropped.
         after_step, if given, runs after every dispatch; passing
         :meth:`check_visibility` recounts visibility from scratch each step.
         Returns the number of dispatches made.  Without after_step the loop
@@ -392,6 +390,8 @@ class Network:
         for steps in range(max_steps):
             if not step():
                 return steps
+        while self.queue and self.queue[0][0] not in self.actors:
+            self.queue.popleft()
         if self.queue:
             raise NonQuiescent(max_steps)
         return max_steps

@@ -143,23 +143,25 @@ def brute_force_project(assertions, proj):
 def run_picked(net, max_steps, pick, *, after_step=None):
     """``net.run_until_quiescent``, with pick choosing which actor goes next.
 
-    Before each dispatch, while the queue is non-empty, ``pick(n)`` is given
-    the number n of actors with queued events, listed in the order of their
-    oldest queued event, and returns k with 0 <= k < n; that actor's oldest
-    event is dispatched.  So each actor takes its own events in the order
-    they were queued, whatever pick does.  A k outside the range raises
-    ValueError before anything is dispatched.  The pick runs inside
-    ``net.dispatch_one``, wrapped for this one run and restored after it,
-    so the runtime's loop stays the only loop.  Returns the number of
-    dispatches made.
+    Before each dispatch, while a live actor has a queued event, ``pick(n)``
+    is given the number n of live actors with queued events, listed in the
+    order of their oldest queued event, and returns k with 0 <= k < n; that
+    actor's oldest event is dispatched.  So each actor takes its own events
+    in the order they were queued, whatever pick does.  A k outside the
+    range raises ValueError before anything is dispatched.  Events of gone
+    actors are neither counted nor picked; ``dispatch_one`` drops them.  The
+    pick runs inside ``net.dispatch_one``, wrapped for this one run and
+    restored after it, so the runtime's loop stays the only loop.  Returns
+    the number of dispatches made.
     """
     queue, dispatch = net.queue, net.dispatch_one  # the queue is one deque for net's life
 
     def picked() -> bool:
-        if queue:
-            oldest: dict = {}  # actor -> the queue index of its oldest event
-            for i, (aid, _) in enumerate(queue):
+        oldest: dict = {}  # live actor -> the queue index of its oldest event
+        for i, (aid, _) in enumerate(queue):
+            if aid in net.actors:
                 oldest.setdefault(aid, i)
+        if oldest:
             k = pick(len(oldest))
             if not 0 <= k < len(oldest):
                 raise ValueError(f"no queued event for pick {k} of {len(oldest)} actors")

@@ -560,14 +560,19 @@ def test_queued_events_for_terminated_actor_are_dropped():
         seen.append(event)
         return None
 
-    doomed = net.spawn(recorder, None, [PatchAction(Patch({observe(Sym("x"))}, ()))])
+    interests = {observe(Sym("x")), observe(rec("x", WILDCARD))}
+    doomed = net.spawn(recorder, None, [PatchAction(Patch(interests, ()))])
     sender = net.spawn(idle, None)
     net.interpret_action(sender, MessageAction(Sym("x")))
-    assert net.queue
+    net.interpret_action(sender, PatchAction(Patch({rec("x", 1)}, ())))
+    assert [aid for aid, _ in net.queue] == [doomed, doomed]
     net.terminate_actor(doomed)
+    entries = len(net.trace.entries)
+    # the events stay queued until they reach the head, and are dropped
+    # there: the patch writes no patch-in
+    assert net.run_until_quiescent(10) == 0
     assert not net.queue
-    net.run_until_quiescent(10)
-    assert seen == []
+    assert seen == [] and len(net.trace.entries) == entries
 
 
 def test_duplicate_assertion_shielding():
@@ -847,28 +852,119 @@ def test_non_quiescent_is_raised_at_the_same_budget_whatever_the_hooks(hooks, mo
     assert calls == {"dispatch": 50, **{hook: 50 for hook in used}}
 
 
-def test_terminating_an_actor_filters_the_queue_in_place():
-    # the queue is one deque for the network's life: conftest's run_picked
-    # holds it across dispatches
+def _two_messages_for_each(*names):
+    # a recorder of (n _) per name, whose state is the name, and (n 0) and
+    # (n 1) queued for each, in spawn order
     net = new_network()
     got = []
 
     def record(event, state):
-        got.append(event.body.fields[0])
+        got.append((state, event.body.fields[0]))
 
     interest = Patch({observe(rec("n", WILDCARD))}, ())
-    first, doomed, last = (net.spawn(record, None, [PatchAction(interest)]) for _ in range(3))
+    aids = [net.spawn(record, name, [PatchAction(interest)]) for name in names]
     kicker = net.spawn(idle, None)
     for i in range(2):
         net.interpret_action(kicker, MessageAction(rec("n", i)))
+    return net, aids, got
+
+
+def test_terminating_an_actor_leaves_the_queue_and_the_survivors_take_their_events_in_order():
+    # the queue is one deque for the network's life (conftest's run_picked
+    # holds it across dispatches), and a quit leaves it as it is
+    net, (first, doomed, last), got = _two_messages_for_each("first", "doomed", "last")
     q = net.queue
-    assert [aid for aid, _ in q] == [first, doomed, last] * 2
+    queued = list(q)
+    assert [aid for aid, _ in queued] == [first, doomed, last] * 2
     net.terminate_actor(doomed)
-    assert net.queue is q
-    assert [aid for aid, _ in q] == [first, last] * 2
-    assert [event.body for _, event in q] == [rec("n", 0)] * 2 + [rec("n", 1)] * 2
-    net.run_until_quiescent(10)
-    assert got == [0, 0, 1, 1]
+    assert net.queue is q and list(q) == queued
+    assert net.run_until_quiescent(10) == 4
+    assert got == [("first", 0), ("last", 0), ("first", 1), ("last", 1)]
+    assert not net.queue
+
+
+def test_a_pick_counts_only_live_actors_and_none_is_made_for_a_gone_actors_events():
+    net, (_, doomed, _), got = _two_messages_for_each("first", "doomed", "last")
+    counts = []
+
+    def pick(n):
+        counts.append(n)
+        return 0
+
+    net.terminate_actor(doomed)
+    # doomed's two events stay until only they are left, and are dropped then
+    assert run_picked(net, 10, pick) == 4
+    assert counts == [2, 2, 2, 1]
+    assert got == [("first", 0), ("last", 0), ("first", 1), ("last", 1)]
+    assert not net.queue
+
+
+def test_a_gone_actors_events_are_no_dispatches_even_at_the_tail_of_an_exact_budget():
+    # the doomed actor has 2 events queued, the last one among them; the others 4
+    net, (_, _, doomed), got = _two_messages_for_each("a", "b", "doomed")
+    net.terminate_actor(doomed)
+    assert len(net.queue) == 6 and net.queue[-1][0] == doomed
+    entries = len(net.trace.entries)
+    steps = []
+    assert net.run_until_quiescent(4, after_step=lambda: steps.append(len(got))) == 4
+    assert steps == [1, 2, 3, 4]
+    assert not net.queue
+    assert got == [("a", 0), ("b", 0), ("a", 1), ("b", 1)]
+    assert len(net.trace.entries) == entries  # a delivered message writes none either
+
+
+class _IterCounted(deque):
+    """A run queue that counts how often it is iterated."""
+
+    iterated = 0
+
+    def __iter__(self):
+        self.iterated += 1
+        return super().__iter__()
+
+
+def _quitter(event, state):
+    return Continue(state, [QUIT])
+
+
+def _mass_quit(net, n):
+    # n observers of (bye _), each quitting on receipt of one (bye 1)
+    interest = Patch({observe(rec("bye", WILDCARD))}, ())
+    for _ in range(n):
+        net.spawn(_quitter, None, [PatchAction(interest)])
+    sender = net.spawn(idle, None)
+    net.interpret_action(sender, MessageAction(rec("bye", 1)))
+    assert net.run_until_quiescent(2 * n) == n
+    return n
+
+
+def _terminate_with_events_pending(net, n):
+    # n observers of (n _), a message queued for each, every other one
+    # terminated before it runs
+    got = []
+
+    def record(event, state):
+        got.append(state)
+
+    interest = Patch({observe(rec("n", WILDCARD))}, ())
+    aids = [net.spawn(record, i, [PatchAction(interest)]) for i in range(n)]
+    sender = net.spawn(idle, None)
+    net.interpret_action(sender, MessageAction(rec("n", 0)))
+    for aid in aids[1::2]:
+        net.terminate_actor(aid)
+    assert net.run_until_quiescent(2 * n) == n // 2
+    assert got == list(range(0, n, 2))
+    return n // 2
+
+
+@pytest.mark.parametrize("shape", [_mass_quit, _terminate_with_events_pending])
+def test_a_quit_never_walks_the_queue(shape):
+    net = new_network()
+    net.queue = _IterCounted()  # before the first spawn
+    quits = shape(net, 200)
+    assert sum(e["kind"] == "quit" for e in net.trace.entries) == quits
+    assert not net.queue
+    assert net.queue.iterated == 0
 
 
 def test_a_pick_of_the_last_actor_keeps_that_actors_events_in_order():
@@ -1143,8 +1239,8 @@ def test_patch_ins_replay_to_what_each_actor_sees(fifo):
 
         def replay(net):
             nonlocal done
-            if net.queue:  # not quiescent: some receivers are yet to be told
-                return
+            if any(aid in net.actors for aid, _ in net.queue):
+                return  # not quiescent: some receivers are yet to be told
             entries = net.trace.entries
             for e in entries[done:]:
                 if e["kind"] == "patch-in":

@@ -1,4 +1,5 @@
 import gc
+import sys
 import weakref
 
 import hypothesis.strategies as st
@@ -859,7 +860,11 @@ def test_entering_a_state_again_files_a_fixed_count_and_none_of_its_observes(mon
 
 def test_compiling_a_state_leaves_no_cyclic_garbage():
     # each file-system observer compiles an until per file: a compile that
-    # built a reference cycle would leave its garbage to the cyclic collector
+    # built a reference cycle would leave its garbage to the cyclic collector.
+    # A line tracer, such as a coverage probe, builds cycles of its own per
+    # frame, so the thread's trace function is suspended while this counts
+    tracer = sys.gettrace()
+    sys.settrace(None)
     gc.collect()
     gc.disable()
     try:
@@ -868,6 +873,7 @@ def test_compiling_a_state_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+        sys.settrace(tracer)
 
 
 def test_a_quit_reactive_actor_is_freed_without_the_cyclic_collector():
